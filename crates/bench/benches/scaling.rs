@@ -2,7 +2,7 @@
 //! worker threads over the workload suite, with a regression gate.
 //!
 //! This is the acceptance harness for the batch-layer contention work
-//! (two-level replay cache, atomic-ticket dispenser, merge-at-join
+//! (the lock-free segment table, atomic-ticket dispenser, merge-at-join
 //! stats): each case re-verifies the same fleet with a different pool
 //! size, and `speedup_vs_1` is the 1-thread median divided by the
 //! case's median.

@@ -4,22 +4,17 @@
 //! service for device *fleets*; a single-threaded replay loop cannot
 //! serve that workload. This module verifies many `(Challenge,
 //! report stream)` jobs concurrently across a [`std::thread::scope`]
-//! worker pool sharing one [`Verifier`] (and therefore one replay
-//! cache), with results returned in submission order.
+//! worker pool sharing one [`Verifier`] (and therefore one segment
+//! table), with results returned in submission order.
 //!
 //! The entry point is [`Verifier::fleet`], which returns a [`Fleet`]
-//! handle bound to one verifier and one [`BatchOptions`]. Work
-//! distribution is shaped to the input:
+//! handle bound to one verifier and one [`BatchOptions`]:
 //!
 //! * [`Fleet::run`] owns the whole job slice up front, so workers
 //!   claim index ranges from an **atomic-ticket dispenser** — one
 //!   `fetch_add` per chunk, no mutex, no condvar, no per-job handoff.
 //!   Chunks shrink as the slice drains (guided self-scheduling) so the
 //!   tail stays balanced without paying per-job dispatch up front.
-//! * [`Fleet::stream`] consumes jobs from an iterator whose
-//!   length is unknown (a socket, a directory walk), so it keeps the
-//!   bounded [`BoundedQueue`] + condvar handoff: backpressure is the
-//!   point there, not raw dispatch throughput.
 //! * [`Fleet::sequential`] is the calling-thread reference
 //!   implementation for equivalence tests and 1-thread baselines.
 //!
@@ -31,9 +26,7 @@
 //! [`Verifier::verify`] per job in sequence — same [`VerifiedPath`]s,
 //! same [`Violation`]s — it only overlaps the wall-clock time.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::report::{Challenge, Report};
@@ -69,16 +62,12 @@ impl JobOutcome {
     }
 }
 
-/// Worker-pool configuration for [`Fleet::run`] / [`Fleet::stream`].
+/// Worker-pool configuration for [`Fleet::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOptions {
-    /// Worker threads. Clamped to at least 1 (and, for the slice path,
-    /// to the job count — idle workers would only add spawn cost).
+    /// Worker threads. Clamped to at least 1 and to the job count —
+    /// idle workers would only add spawn cost.
     pub threads: usize,
-    /// Streaming path only: bound on jobs buffered between the
-    /// submitting thread and the workers; submission blocks when full
-    /// (backpressure). Clamped to at least 1.
-    pub queue_depth: usize,
 }
 
 impl Default for BatchOptions {
@@ -86,20 +75,14 @@ impl Default for BatchOptions {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        BatchOptions {
-            threads,
-            queue_depth: threads * 2,
-        }
+        BatchOptions { threads }
     }
 }
 
 impl BatchOptions {
     /// Options for a pool of exactly `threads` workers.
     pub fn with_threads(threads: usize) -> BatchOptions {
-        BatchOptions {
-            threads,
-            queue_depth: threads.max(1) * 2,
-        }
+        BatchOptions { threads }
     }
 }
 
@@ -145,7 +128,7 @@ fn claim_chunk(cursor: &AtomicUsize, total: usize, threads: usize) -> Option<(us
 /// handle binding the verifier to a [`BatchOptions`], created by
 /// [`Verifier::fleet`].
 ///
-/// All workers share the verifier's replay cache, so identical
+/// All workers share the verifier's segment table, so identical
 /// deterministic stretches — across loop iterations *and* across
 /// devices running the same binary — are decoded once.
 #[derive(Debug, Clone, Copy)]
@@ -240,72 +223,6 @@ impl Fleet<'_> {
         collect_in_order(total, per_worker)
     }
 
-    /// Verifies a *stream* of fleet jobs whose length is not known up
-    /// front (a socket, a directory walk): jobs flow through a bounded
-    /// queue so the producer is backpressured once `queue_depth` jobs
-    /// are in flight. Returns outcomes in submission order, like
-    /// [`Fleet::run`] — which is the better choice whenever the jobs
-    /// already sit in memory.
-    pub fn stream(&self, jobs: impl IntoIterator<Item = FleetJob>) -> Vec<JobOutcome> {
-        let verifier = self.verifier;
-        let threads = self.options.threads.max(1);
-        let queue: BoundedQueue<(usize, FleetJob)> =
-            BoundedQueue::new(self.options.queue_depth.max(1));
-        let (per_worker, total): (Vec<Vec<(usize, JobOutcome)>>, usize) =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut outcomes: Vec<(usize, JobOutcome)> = Vec::new();
-                            let mut tally = StatsTally::default();
-                            let mut busy_ns = 0u64;
-                            let mut idle_ns = 0u64;
-                            loop {
-                                let idle_from = Instant::now();
-                                let Some((index, job)) = queue.pop() else {
-                                    break;
-                                };
-                                idle_ns += idle_from.elapsed().as_nanos() as u64;
-                                let from = Instant::now();
-                                let result =
-                                    verifier.verify_tallied(job.chal, &job.reports, &mut tally);
-                                let wall = from.elapsed();
-                                busy_ns += wall.as_nanos() as u64;
-                                outcomes.push((
-                                    index,
-                                    JobOutcome {
-                                        device: job.device,
-                                        result,
-                                        wall,
-                                    },
-                                ));
-                            }
-                            verifier.commit_tally(&tally);
-                            rap_obs::counter!("batch_worker_busy_ns_total").add(busy_ns);
-                            rap_obs::counter!("batch_worker_idle_ns_total").add(idle_ns);
-                            rap_obs::flush_thread();
-                            outcomes
-                        })
-                    })
-                    .collect();
-                let mut submitted = 0usize;
-                for job in jobs {
-                    queue.push((submitted, job));
-                    submitted += 1;
-                }
-                queue.close();
-                (
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fleet worker panicked"))
-                        .collect(),
-                    submitted,
-                )
-            });
-
-        collect_in_order(total, per_worker)
-    }
-
     /// Reference implementation for equivalence testing and 1-thread
     /// baselines: the same jobs, verified on the calling thread (the
     /// handle's thread options are ignored).
@@ -352,126 +269,17 @@ fn observe_job(wall: Duration) {
         .observe(wall.as_nanos() as u64);
 }
 
-/// A minimal bounded MPMC queue: `push` blocks while full, `pop` blocks
-/// while empty, and `close` wakes all poppers once drained. Built on
-/// std only (the registry is unreachable on the evaluation machines).
-/// Used by the streaming path, where backpressure — not dispatch
-/// throughput — is the requirement; the slice path uses the atomic
-/// dispenser instead.
-struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::with_capacity(capacity),
-                capacity,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Blocks until there is room, then enqueues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after `close` — a harness bug.
-    fn push(&self, item: T) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        while inner.items.len() >= inner.capacity && !inner.closed {
-            inner = self.not_full.wait(inner).expect("queue lock");
-        }
-        assert!(!inner.closed, "push after close");
-        inner.items.push_back(item);
-        rap_obs::gauge!("batch_queue_depth").set(inner.items.len() as i64);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    /// Blocks until an item is available; `None` once the queue is
-    /// closed and drained.
-    fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                rap_obs::gauge!("batch_queue_depth").set(inner.items.len() as i64);
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue lock");
-        }
-    }
-
-    /// Marks the queue closed: blocked and future `pop`s return `None`
-    /// once the backlog drains.
-    fn close(&self) {
-        self.inner.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn queue_delivers_everything_once() {
-        let queue: BoundedQueue<usize> = BoundedQueue::new(4);
-        let seen = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    while let Some(v) = queue.pop() {
-                        seen.fetch_add(v, Ordering::Relaxed);
-                    }
-                });
-            }
-            for v in 1..=100 {
-                queue.push(v);
-            }
-            queue.close();
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
-    fn queue_close_releases_blocked_poppers() {
-        let queue: BoundedQueue<usize> = BoundedQueue::new(1);
-        std::thread::scope(|scope| {
-            let h = scope.spawn(|| queue.pop());
-            // Give the popper a chance to block, then close.
-            std::thread::sleep(Duration::from_millis(10));
-            queue.close();
-            assert_eq!(h.join().unwrap(), None);
-        });
-    }
+    use std::sync::Mutex;
 
     #[test]
     fn batch_options_clamp() {
-        let options = BatchOptions::with_threads(0);
-        assert_eq!(options.queue_depth, 2);
-        // The fleet handle clamps threads itself; empty batch is a no-op.
-        let defaults = BatchOptions::default();
-        assert!(defaults.threads >= 1);
-        assert!(defaults.queue_depth >= 2);
+        assert!(BatchOptions::default().threads >= 1);
+        // The fleet handle clamps a zero-thread request to one worker.
+        let requested = BatchOptions::with_threads(0).threads;
+        assert_eq!(effective_batch_config(4, requested), (1, 1));
     }
 
     #[test]

@@ -51,16 +51,22 @@ impl Metrics {
 /// [`Verifier`](crate::Verifier) (shared across all clones of it).
 ///
 /// Replay work splits into *cached* steps (bulk-applied from the
-/// straight-line replay cache) and *live* steps (instruction-by-
+/// verifier's segment table) and *live* steps (instruction-by-
 /// instruction decode at log-consuming sites); the hit rate says how
 /// often a deterministic stretch was already memoized.
+///
+/// Every segment-table lookup counts exactly one hit or one miss, so
+/// both totals are independent of how many threads did the lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VerifierStats {
-    /// Replay-cache lookups that found a memoized segment.
+    /// Segment-table lookups that found their slot already built, plus
+    /// lookups at a PC with no slot (outside the image, or odd).
     pub cache_hits: u64,
-    /// Replay-cache lookups that had to build the segment.
+    /// Segment-table lookups that built their slot: one per segment
+    /// built, so it stops growing once every reachable slot is built.
     pub cache_misses: u64,
-    /// Instructions replayed by bulk-applying cached segments.
+    /// Instructions replayed by bulk-applying built segments and
+    /// dictionary macros.
     pub cached_steps: u64,
     /// Instructions replayed live (non-deterministic sites).
     pub live_steps: u64,

@@ -9,10 +9,9 @@
 //! address, a hijacked indirect call, a forged or truncated log —
 //! surfaces as a typed [`Violation`].
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 use rap_obs::CachePadded;
@@ -385,10 +384,10 @@ impl VerifiedPath {
 
 /// The Verifier for one deployed application.
 ///
-/// Cloning is cheap where it matters: clones share the straight-line
-/// [replay cache](Verifier::stats) and its counters, so a fleet of
-/// worker threads (or repeated sessions for many devices running the
-/// same binary) all benefit from stretches decoded once.
+/// Cloning is cheap where it matters: clones share the segment table
+/// and its [counters](Verifier::stats), so a fleet of worker threads
+/// (or repeated sessions for many devices running the same binary) all
+/// benefit from stretches decoded once.
 #[derive(Debug, Clone)]
 pub struct Verifier {
     key: Key,
@@ -403,46 +402,29 @@ pub struct Verifier {
     shared: Arc<Shared>,
 }
 
-/// Default number of L2 replay-cache shards (overridable through
-/// [`VerifierBuilder::cache_shards`]). 16 shards keep the worst-case
-/// miss contention per shard at 1/16th of a global lock while staying
-/// small enough that a snapshot walk is trivial.
-const DEFAULT_SHARD_COUNT: usize = 16;
-
-/// Upper bound on configurable shard counts — beyond this the per-shard
-/// fixed cost dwarfs any contention win.
-const MAX_SHARD_COUNT: usize = 1024;
-
-/// Cache + counters shared by all clones of one [`Verifier`].
-///
-/// Layout is driven by the fleet worker pool: the shards and every
-/// counter are cache-line padded so a worker updating one never
-/// invalidates its neighbours' lines, and the counters are only touched
-/// by [`Verifier::commit_tally`] — once per job (or once per worker in
-/// the batch layer), never from inside the replay loop.
-/// One L2 lock stripe, padded so adjacent shards' lock words never
-/// share a cache line.
-type Shard = CachePadded<RwLock<HashMap<u32, Arc<Segment>>>>;
-
 /// Macro-cache map: `(entry id, span entry PC)` → recorded variants.
 type MacroMap = RwLock<HashMap<(u32, u32), Vec<Arc<DictMacro>>>>;
 
+/// Segment table + counters shared by all clones of one [`Verifier`].
+///
+/// The counters are cache-line padded so a worker updating one never
+/// invalidates its neighbours' lines, and they are only touched by
+/// [`Verifier::commit_tally`] — once per job (or once per worker in the
+/// batch layer), never from inside the replay loop.
 #[derive(Debug)]
 struct Shared {
-    /// Identity of this cache, used as the ownership key for the
-    /// thread-local L1 (see [`L1_SEGMENTS`]). Unique per `Shared`.
-    id: u64,
-    /// Straight-line replay cache (L2): entry PC → memoized
-    /// deterministic stretch, lock-striped by [`Shared::shard_for`].
-    /// Contents
-    /// depend only on the image and map, never on a particular log, so
-    /// the cache is safely shared across sessions, threads and devices.
-    shards: Vec<Shard>,
+    /// One slot per halfword of `[image.base(), image.end())`: slot `i`
+    /// holds the deterministic stretch entered at `base + 2 * i`, built
+    /// by the first lookup that reaches it (see
+    /// [`Verifier::segment_at`]). Contents depend only on the image and
+    /// map, never on a particular log, so the table is safely shared
+    /// across sessions, threads and devices, and its size is fixed by
+    /// the image: forged logs cannot grow it.
+    segments: Box<[OnceLock<Segment>]>,
     /// Dictionary macro cache: `(entry id, span entry PC)` → replay
     /// deltas recorded the first time that sub-path was replayed live
-    /// from that PC. Shared across sessions/threads like the segment
-    /// cache; touched at most once per dictionary hit, so a single lock
-    /// (not a stripe) is plenty.
+    /// from that PC. Touched at most once per dictionary hit, so a
+    /// single lock is plenty.
     dict_macros: MacroMap,
     hits: CachePadded<AtomicU64>,
     misses: CachePadded<AtomicU64>,
@@ -453,13 +435,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(shard_count: usize) -> Shared {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    /// Empty slots for every halfword of `image`; nothing is built yet.
+    fn new(image: &Image) -> Shared {
+        let slots = (image.end() - image.base()) / 2;
         Shared {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            shards: (0..shard_count.clamp(1, MAX_SHARD_COUNT))
-                .map(|_| CachePadded::new(RwLock::new(HashMap::new())))
-                .collect(),
+            segments: (0..slots).map(|_| OnceLock::new()).collect(),
             dict_macros: RwLock::new(HashMap::new()),
             hits: CachePadded::default(),
             misses: CachePadded::default(),
@@ -469,40 +449,6 @@ impl Shared {
             wall_ns: CachePadded::default(),
         }
     }
-
-    /// Shard index for an entry PC: Fibonacci hashing followed by a
-    /// multiply-shift range reduction spreads the (4-byte aligned,
-    /// clustered) instruction addresses across any shard count.
-    fn shard_for(&self, pc: u32) -> &Shard {
-        let n = self.shards.len() as u64;
-        let index = (u64::from(pc.wrapping_mul(0x9E37_79B9)) * n) >> 32;
-        &self.shards[index as usize]
-    }
-}
-
-impl Default for Shared {
-    fn default() -> Shared {
-        Shared::new(DEFAULT_SHARD_COUNT)
-    }
-}
-
-thread_local! {
-    /// Replay-cache L1: this thread's private view of one verifier's
-    /// segment cache. A steady-state cache hit in the replay loop is a
-    /// plain `HashMap` probe — no lock, no atomic, no shared line. The
-    /// map belongs to the [`Shared`] whose `id` it records and is
-    /// cleared when the thread switches to a different verifier (the
-    /// common shapes — a worker pool over one verifier, or sequential
-    /// tests each with their own — never thrash).
-    static L1_SEGMENTS: RefCell<L1Cache> = RefCell::new(L1Cache {
-        owner: 0,
-        segments: HashMap::new(),
-    });
-}
-
-struct L1Cache {
-    owner: u64,
-    segments: HashMap<u32, Arc<Segment>>,
 }
 
 /// Plain-integer verification tallies, accumulated lock-free on the
@@ -515,8 +461,8 @@ struct L1Cache {
 #[derive(Debug, Default)]
 pub(crate) struct StatsTally {
     cache_hits: u64,
+    /// Lookups that built their table slot — one per segment built.
     cache_misses: u64,
-    segment_builds: u64,
     cached_steps: u64,
     live_steps: u64,
     rewinds: u64,
@@ -544,7 +490,6 @@ impl StatsTally {
     fn merge(&mut self, other: StatsTally) {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.segment_builds += other.segment_builds;
         self.cached_steps += other.cached_steps;
         self.live_steps += other.live_steps;
         self.rewinds += other.rewinds;
@@ -599,7 +544,6 @@ const SEGMENT_CAP: u64 = 4096;
 ///     .key(key)
 ///     .image(image)
 ///     .map(map)
-///     .cache_shards(32)
 ///     .max_steps(10_000_000)
 ///     .build()?;
 /// # Ok::<(), rap_track::BuildError>(())
@@ -611,7 +555,6 @@ pub struct VerifierBuilder {
     map: Option<LinkMap>,
     policy: Option<PathPolicy>,
     dict: Option<SubPathDict>,
-    cache_shards: usize,
     max_steps: u64,
 }
 
@@ -672,14 +615,6 @@ impl VerifierBuilder {
         self
     }
 
-    /// L2 replay-cache shard count (clamped to `1..=1024`; default 16).
-    /// More shards trade memory for lower miss-path lock contention.
-    #[must_use]
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards;
-        self
-    }
-
     /// Replay step budget (default 100 million) — the anti-DoS bound on
     /// forged logs driving replay forever.
     #[must_use]
@@ -699,11 +634,7 @@ impl VerifierBuilder {
         let map = self.map.ok_or(BuildError { missing: "map" })?;
         let h_mem = sha256(image.bytes());
         let entry = image.base();
-        let shard_count = if self.cache_shards == 0 {
-            DEFAULT_SHARD_COUNT
-        } else {
-            self.cache_shards
-        };
+        let shared = Arc::new(Shared::new(&image));
         Ok(Verifier {
             key,
             image,
@@ -717,7 +648,7 @@ impl VerifierBuilder {
             },
             policy: self.policy.map(Arc::new),
             dict: self.dict.map(Arc::new),
-            shared: Arc::new(Shared::new(shard_count)),
+            shared,
         })
     }
 }
@@ -729,7 +660,7 @@ impl Verifier {
     }
 
     /// Creates a Verifier for the given deployed binary and link map
-    /// with default policy, cache and budget settings — a thin wrapper
+    /// with default policy and budget settings — a thin wrapper
     /// over [`Verifier::builder`]. Replay starts at the image base.
     pub fn new(key: Key, image: Image, map: LinkMap) -> Verifier {
         Verifier::builder()
@@ -765,9 +696,9 @@ impl Verifier {
             .unwrap_or_default()
     }
 
-    /// A snapshot of the verifier-side counters: replay-cache
+    /// A snapshot of the verifier-side counters: segment-table
     /// effectiveness and verification work done so far (across all
-    /// clones sharing this verifier's cache).
+    /// clones sharing this verifier's table).
     pub fn stats(&self) -> crate::VerifierStats {
         crate::VerifierStats {
             cache_hits: self.shared.hits.load(Ordering::Relaxed),
@@ -906,7 +837,7 @@ impl Verifier {
         rap_obs::counter!("verifier_jobs_rejected_total").add(tally.rejected);
         rap_obs::counter!("verifier_cache_hits_total").add(tally.cache_hits);
         rap_obs::counter!("verifier_cache_misses_total").add(tally.cache_misses);
-        rap_obs::counter!("verifier_segment_builds_total").add(tally.segment_builds);
+        rap_obs::counter!("verifier_segment_builds_total").add(tally.cache_misses);
         rap_obs::counter!("verifier_replay_live_steps_total").add(tally.live_steps);
         rap_obs::counter!("verifier_replay_cached_steps_total").add(tally.cached_steps);
         rap_obs::counter!("verifier_rewinds_total").add(tally.rewinds);
@@ -1035,50 +966,37 @@ impl Verifier {
         })
     }
 
-    /// Looks up (or builds and caches) the deterministic segment
-    /// starting at `pc`.
+    /// The deterministic segment entered at `pc`, from its table slot.
     ///
-    /// Lookup order is L1 (this thread's private map — no shared state
-    /// touched) then the L2 shard for `pc` (a read lock contended only
-    /// by lookups hashing to the same shard), and only a genuine miss
-    /// builds the segment and takes the shard's write lock. The build
-    /// happens *outside* the lock: two workers racing on the same cold
-    /// PC may both build, and `or_insert` keeps the first — duplicate
-    /// work on a cold cache beats serializing every miss. Exactly one
-    /// of `cache_hits`/`cache_misses` is tallied per call, so lookup
-    /// totals are deterministic regardless of thread count.
-    fn segment_at(&self, pc: u32, tally: &mut StatsTally) -> Arc<Segment> {
-        L1_SEGMENTS.with(|cell| {
-            let mut l1 = cell.borrow_mut();
-            if l1.owner != self.shared.id {
-                l1.segments.clear();
-                l1.owner = self.shared.id;
-            }
-            if let Some(seg) = l1.segments.get(&pc) {
-                tally.cache_hits += 1;
-                return Arc::clone(seg);
-            }
-            let shard = self.shared.shard_for(pc);
-            if let Some(seg) = shard.read().expect("cache lock").get(&pc) {
-                tally.cache_hits += 1;
-                let seg = Arc::clone(seg);
-                l1.segments.insert(pc, Arc::clone(&seg));
-                return seg;
-            }
+    /// The first lookup that reaches a slot builds it inside
+    /// `get_or_init`; every later lookup is an index and one acquire
+    /// load — no lock, no hashing, no shared refcount write. Exactly one
+    /// of `cache_hits`/`cache_misses` is tallied per call, and a miss is
+    /// the one call that built the slot, so both totals are independent
+    /// of thread count. A PC with no slot (below the base, past the end,
+    /// or odd) counts as a hit and yields `None`; the live stepper then
+    /// reports it as [`Violation::InvalidPc`].
+    fn segment_at(&self, pc: u32, tally: &mut StatsTally) -> Option<&Segment> {
+        let slot = pc
+            .checked_sub(self.image.base())
+            .filter(|offset| offset % 2 == 0)
+            .and_then(|offset| self.shared.segments.get(offset as usize / 2));
+        let Some(slot) = slot else {
+            tally.cache_hits += 1;
+            return None;
+        };
+        let mut built = false;
+        let segment = slot.get_or_init(|| {
+            built = true;
+            self.build_segment(pc)
+        });
+        if built {
             tally.cache_misses += 1;
-            tally.segment_builds += 1;
-            let built = Arc::new(self.build_segment(pc));
-            rap_obs::event("segment_build", pc as u64, built.steps);
-            let seg = Arc::clone(
-                shard
-                    .write()
-                    .expect("cache lock")
-                    .entry(pc)
-                    .or_insert(built),
-            );
-            l1.segments.insert(pc, Arc::clone(&seg));
-            seg
-        })
+            rap_obs::event("segment_build", pc as u64, segment.steps);
+        } else {
+            tally.cache_hits += 1;
+        }
+        Some(segment)
     }
 
     /// Walks instructions from `pc` while their outcome is a pure
@@ -1428,7 +1346,7 @@ impl Verifier {
 /// log admits none and the *first* violation is reported.
 ///
 /// Deterministic stretches between log-consuming sites are bulk-applied
-/// from the verifier's shared replay cache, so repeated loop iterations
+/// from the verifier's shared segment table, so repeated loop iterations
 /// and repeated devices skip re-decoding identical straight-line code.
 #[derive(Debug)]
 pub struct ReplaySession<'v> {
@@ -1475,7 +1393,7 @@ impl ReplaySession<'_> {
     }
 
     /// Advances replay by one quantum: one bulk-applied deterministic
-    /// stretch (if cached or cacheable) plus one live instruction.
+    /// stretch (if the PC has a table slot) plus one live instruction.
     /// Returns `None` while the session is still running, or the final
     /// verdict once replay terminates.
     pub fn advance(&mut self) -> Option<Result<VerifiedPath, Violation>> {
@@ -1488,13 +1406,13 @@ impl ReplaySession<'_> {
             }
         }
 
-        // Bulk-apply the deterministic stretch starting here. All
-        // tallies are plain integers on the session — the replay loop
-        // touches no shared cache line.
+        // Bulk-apply the deterministic stretch starting here. Tallies
+        // are plain integers on the session and a warm table lookup
+        // only reads, so the replay loop writes no shared cache line.
         let tally = self.tally.as_mut().expect("session tally present");
         let segment = self.verifier.segment_at(self.state.pc, tally);
-        if segment.steps > 0 {
-            self.state.apply(&segment);
+        if let Some(segment) = segment.filter(|s| s.steps > 0) {
+            self.state.apply(segment);
             self.global_steps += segment.steps;
             tally.cached_steps += segment.steps;
             if self.global_steps > self.verifier.max_steps {

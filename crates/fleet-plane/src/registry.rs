@@ -4,7 +4,7 @@
 //!
 //! [`Registry`] itself is pure and single-threaded (the caller
 //! supplies logical time); [`FleetPlane`] wraps it in a lock plus a
-//! logical clock so it can be shared between a rap-serve verdict hook,
+//! logical clock so it can be shared between a rap-serve round hook,
 //! the challenge scheduler, and the admin plane.
 
 use std::collections::BTreeMap;
@@ -12,8 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rap_obs::Json;
-#[allow(deprecated)]
-use rap_serve::VerdictHook;
 use rap_serve::{AdminExtra, RoundEvent, RoundHook};
 
 use crate::state::{Cause, DeviceMachine, DeviceState, Event, Policy, Transition};
@@ -406,7 +404,7 @@ fn publish_state_gauges(counts: [u64; 4]) {
 }
 
 /// The shared control plane: a locked [`Registry`] plus a logical
-/// clock, with adapters for rap-serve's [`VerdictHook`] and
+/// clock, with adapters for rap-serve's [`RoundHook`] and
 /// [`AdminExtra`] hooks and rap-obs counters/gauges published on every
 /// observation.
 #[derive(Clone)]
@@ -507,29 +505,6 @@ impl FleetPlane {
     /// The registry serialized, for the admin plane and CLI.
     pub fn to_json(&self) -> Json {
         self.inner.registry.lock().unwrap().to_json()
-    }
-
-    /// A [`VerdictHook`] for [`rap_serve::ServerConfig::verdict_hook`]
-    /// — every verified round flows into this plane.
-    ///
-    /// Deprecated bool-form shim: prefer
-    /// [`round_hook`](FleetPlane::round_hook), which also attributes
-    /// transitions to the sealed record that triggered them.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use round_hook, which cites the sealed VerdictRecord as transition evidence"
-    )]
-    #[allow(deprecated)]
-    pub fn verdict_hook(&self) -> VerdictHook {
-        let plane = self.clone();
-        VerdictHook::new(move |device, accepted| {
-            let event = if accepted {
-                Event::Accepted
-            } else {
-                Event::Rejected
-            };
-            plane.observe(device, event);
-        })
     }
 
     /// A [`RoundHook`] for [`rap_serve::ServerConfig::round_hook`] —

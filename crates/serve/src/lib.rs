@@ -72,8 +72,6 @@ pub use frame::{
 pub use server::{
     AdminExtra, RoundEvent, RoundEventFn, RoundHook, Server, ServerConfig, ServerStats, StartError,
 };
-#[allow(deprecated)]
-pub use server::{VerdictFn, VerdictHook};
 
 /// The commonly-imported surface in one glob: server + client types
 /// and the typed round-event hook with its sealed

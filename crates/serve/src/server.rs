@@ -60,13 +60,6 @@ use crate::frame::{
     ReadFrameError, ResumeToken, SessionGrant, StatsFormat, Verdict, DEFAULT_MAX_FRAME_LEN,
 };
 
-/// The callback type wrapped by [`VerdictHook`]: `(device, accepted)`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RoundEventFn / RoundHook, which carries the sealed VerdictRecord"
-)]
-pub type VerdictFn = dyn Fn(&str, bool) + Send + Sync;
-
 /// The callback type wrapped by [`RoundHook`].
 pub type RoundEventFn = dyn Fn(&RoundEvent) + Send + Sync;
 
@@ -93,36 +86,6 @@ pub enum RoundEvent {
 /// The provider type wrapped by [`AdminExtra`]: extra top-level
 /// `(name, value)` fields for the telemetry JSON.
 pub type AdminExtraFn = dyn Fn() -> Vec<(String, Json)> + Send + Sync;
-
-/// A server-side observer invoked once per verified round with the
-/// device name and whether the evidence was accepted, synchronously on
-/// the shard worker *before* the verdict batch is flushed.
-///
-/// Deprecated bool-form shim, kept for one release: new code should
-/// use [`RoundHook`], whose [`RoundEvent`] carries the sealed
-/// [`VerdictRecord`] instead of a bare bool.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RoundHook, whose RoundEvent carries the sealed VerdictRecord"
-)]
-#[derive(Clone)]
-#[allow(deprecated)]
-pub struct VerdictHook(pub Arc<VerdictFn>);
-
-#[allow(deprecated)]
-impl VerdictHook {
-    /// Wraps a callback.
-    pub fn new(f: impl Fn(&str, bool) + Send + Sync + 'static) -> VerdictHook {
-        VerdictHook(Arc::new(f))
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for VerdictHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("VerdictHook(..)")
-    }
-}
 
 /// A server-side observer invoked once per round with a typed
 /// [`RoundEvent`], synchronously on the shard worker *before* the
@@ -215,16 +178,6 @@ pub struct ServerConfig {
     /// `admin_device_table_evictions_total`), so a churning fleet
     /// cannot grow server memory without bound.
     pub device_table_cap: usize,
-    /// Called once per verified round with `(device, accepted)`, on
-    /// the shard worker before the verdict batch flushes. Deprecated
-    /// bool-form shim — use [`ServerConfig::round_hook`]; when both
-    /// are set, both fire.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use round_hook, whose RoundEvent carries the sealed VerdictRecord"
-    )]
-    #[allow(deprecated)]
-    pub verdict_hook: Option<VerdictHook>,
     /// Called once per round with a typed [`RoundEvent`] carrying the
     /// sealed [`VerdictRecord`], on the shard worker before the
     /// verdict batch flushes.
@@ -238,7 +191,6 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    #[allow(deprecated)]
     fn default() -> ServerConfig {
         ServerConfig {
             threads: 4,
@@ -258,7 +210,6 @@ impl Default for ServerConfig {
             slow_round_threshold: Duration::from_millis(5),
             exemplar_capacity: 64,
             device_table_cap: 1024,
-            verdict_hook: None,
             round_hook: None,
             audit_log: None,
             admin_extra: None,
@@ -1307,10 +1258,6 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
                         tick.accepted += 1;
                     } else {
                         tick.rejected += 1;
-                    }
-                    #[allow(deprecated)]
-                    if let Some(hook) = &config.verdict_hook {
-                        (hook.0)(&device, accepted);
                     }
                     if let Some(hook) = &config.round_hook {
                         (hook.0)(&RoundEvent::Verdict {

@@ -1370,40 +1370,6 @@ fn round_hook_delivers_sealed_records_matching_wire_verdicts() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_bool_hook_still_fires_alongside_round_hook() {
-    let (linked, w) = deployed();
-    let bools: std::sync::Arc<std::sync::Mutex<Vec<(String, bool)>>> = std::sync::Arc::default();
-    let events = std::sync::Arc::new(AtomicU64::new(0));
-    let bool_sink = std::sync::Arc::clone(&bools);
-    let event_sink = std::sync::Arc::clone(&events);
-    let config = ServerConfig {
-        verdict_hook: Some(rap_serve::VerdictHook::new(move |device, accepted| {
-            bool_sink
-                .lock()
-                .unwrap()
-                .push((device.to_string(), accepted));
-        })),
-        round_hook: Some(rap_serve::RoundHook::new(move |_| {
-            event_sink.fetch_add(1, Ordering::Relaxed);
-        })),
-        ..test_config()
-    };
-    let server = Server::start(test_verifier(&linked), "127.0.0.1:0", config).expect("binds");
-    let client = quick_client(server.local_addr());
-    client
-        .attest_once("device-0", respond_benign(&linked, &w))
-        .expect("round");
-    server.shutdown();
-
-    assert_eq!(
-        bools.lock().unwrap().as_slice(),
-        &[("device-0".to_string(), true)]
-    );
-    assert_eq!(events.load(Ordering::Relaxed), 1);
-}
-
-#[test]
 fn audit_log_chains_every_served_round_and_detects_tamper() {
     let (linked, w) = deployed();
     let verifier = test_verifier(&linked);

@@ -12,6 +12,11 @@ run() {
 
 run cargo build --release --workspace
 run cargo test -q --workspace
+# The benchmark package is a workspace of its own, so the run above
+# never builds it. Building it and running its exact-repeat test here
+# makes a change to a public type it reads fail this gate, not only the
+# benchmark.
+run cargo test --release --offline --manifest-path roundbench/Cargo.toml
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace

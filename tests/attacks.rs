@@ -3,7 +3,7 @@
 
 use armv8m_isa::{Asm, Reg};
 use mcu_sim::{ExecError, InjectedWrite, Machine, RAM_BASE, RAM_SIZE};
-use rap_link::{link, LinkOptions, LinkedProgram};
+use rap_link::{link, LinkOptions, LinkedProgram, SiteKind};
 use rap_track::{device_key, CfaEngine, Challenge, EngineConfig, Report, Verifier, Violation};
 
 const KEY_SEED: &str = "attack-tests";
@@ -134,6 +134,69 @@ fn jop_via_jump_table_corruption_is_reported() {
             );
         }
     }
+}
+
+#[test]
+fn forged_jump_targets_cannot_grow_the_segment_table() {
+    // A re-signing adversary aims the switch dispatch at a fresh
+    // address outside the image on every round. Each round must be
+    // rejected at that address without building a segment: the table's
+    // slots are fixed by the image, not by where forged logs point.
+    let w = workloads::syringe::workload();
+    let linked = link(&w.module, 0, LinkOptions::default()).unwrap();
+    let key = device_key(KEY_SEED);
+    let engine = CfaEngine::new(key.clone());
+    let mut machine = Machine::new(linked.image.clone());
+    (w.attach)(&mut machine);
+    let chal = Challenge::from_seed(0xA79);
+    let att = engine
+        .attest(&mut machine, &linked.map, chal, EngineConfig::default())
+        .expect("attests");
+    let verifier = Verifier::builder()
+        .key(key.clone())
+        .image(linked.image.clone())
+        .map(linked.map.clone())
+        .build()
+        .expect("key/image/map are all set");
+    verifier
+        .verify(chal, &att.reports)
+        .expect("benign baseline");
+    let benign_misses = verifier.stats().cache_misses;
+
+    let jump_src = linked
+        .map
+        .sites_by_src
+        .values()
+        .find(|s| matches!(s.kind, SiteKind::LoadJump | SiteKind::IndirectJump))
+        .expect("syringe dispatches through a jump table")
+        .src;
+    let (seq, at) = att
+        .reports
+        .iter()
+        .enumerate()
+        .find_map(|(seq, r)| {
+            let at = r.log.mtb.iter().position(|e| e.source == jump_src)?;
+            Some((seq, at))
+        })
+        .expect("the dispatch is logged");
+
+    for round in 0..1000 {
+        let forged = linked.image.end() + 0x100 + 2 * round;
+        let mut reports = att.reports.clone();
+        let r = &reports[seq];
+        let mut log = r.log.clone();
+        log.mtb[at].dest = forged;
+        reports[seq] = Report::new(&key, chal, r.h_mem, log, r.seq, r.is_final, r.overflow);
+        match verifier.verify(chal, &reports) {
+            Err(Violation::InvalidPc { pc }) => assert_eq!(pc, forged),
+            other => panic!("round {round}: expected InvalidPc, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        verifier.stats().cache_misses,
+        benign_misses,
+        "forged dispatch targets must not build segments"
+    );
 }
 
 #[test]
