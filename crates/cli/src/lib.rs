@@ -665,7 +665,8 @@ pub struct ServeCmdOptions {
     pub key_seed: String,
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Verification worker threads.
+    /// Worker threads (`--threads`): each serves one connection at a
+    /// time, and any worker serves any device.
     pub threads: usize,
     /// Stop accepting and drain after this many connections (smoke
     /// tests); `None` serves until shutdown.
@@ -1034,7 +1035,7 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Renders one `rap top` dashboard frame: interval-diffed counter
 /// rates (when a previous sample and its age in seconds are given),
-/// windowed round-latency quantiles, queue-depth gauges, the top-K
+/// windowed round-latency quantiles, the connection-queue depth, the top-K
 /// slowest devices by p99, and the most recent slow-round exemplars
 /// with their stage span chains. Pure — all state comes in through the
 /// samples, so tests can drive it directly.
@@ -1116,9 +1117,8 @@ pub fn render_top_frame(
     }
     let _ = writeln!(
         out,
-        "queues   accept {} / shard {}",
+        "queue    {} waiting for a worker",
         snap.gauge("serve_accept_queue_depth"),
-        snap.gauge("serve_shard_queue_depth"),
     );
 
     // Top-K slowest devices by bucket-estimated p99.
@@ -1751,7 +1751,7 @@ skip:
         assert!(last.contains("rap top"), "{last}");
         assert!(last.contains("top-device"), "{last}");
         assert!(last.contains("/s)"), "interval rates rendered: {last}");
-        assert!(last.contains("queues"), "{last}");
+        assert!(last.contains("waiting for a worker"), "{last}");
         assert!(
             last.contains("replay"),
             "exemplar span chain rendered: {last}"

@@ -31,6 +31,7 @@ USAGE:
               [--limit N] [--secret S] [--window W] [--admin HOST:PORT]
               [--slow-ms N] [--dict DICT] [--metrics OUT.json]
               [--audit-log LOG] [--base ADDR]
+              # T workers (default 4), each serving one connection at a time
   rap audit   verify <log> [--key SEED]   # replay the hash chain
   rap audit   show <log> [--key SEED]     # render every sealed verdict
   rap audit   tail <log> [--key SEED] [--last N]

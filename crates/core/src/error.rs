@@ -72,8 +72,11 @@ mod tests {
         assert!(matches!(e, Error::Violation(Violation::ChallengeMismatch)));
         let e: Error = WireError::BadVersion { found: 9 }.into();
         assert!(matches!(e, Error::Wire(WireError::BadVersion { found: 9 })));
-        let e: Error = SessionError::ChallengeReused.into();
-        assert!(matches!(e, Error::Session(SessionError::ChallengeReused)));
+        let e: Error = SessionError::NoOutstandingChallenge.into();
+        assert!(matches!(
+            e,
+            Error::Session(SessionError::NoOutstandingChallenge)
+        ));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! check of the front challenge and is rejected as a
 //! [`Violation::ChallengeMismatch`].
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use armv8m_isa::Image;
 use rap_crypto::hmac_sha256;
@@ -37,7 +37,6 @@ pub struct VerifierSession {
     counter: u64,
     responses: u64,
     outstanding: VecDeque<Challenge>,
-    used: HashSet<[u8; 32]>,
 }
 
 /// A session-level protocol failure.
@@ -49,8 +48,6 @@ pub struct VerifierSession {
 pub enum SessionError {
     /// A response arrived with no outstanding request.
     NoOutstandingChallenge,
-    /// The challenge was already consumed by an earlier response.
-    ChallengeReused,
     /// Verification of the evidence failed.
     Verification(Violation),
 }
@@ -61,7 +58,6 @@ impl std::fmt::Display for SessionError {
             SessionError::NoOutstandingChallenge => {
                 write!(f, "response without an outstanding challenge")
             }
-            SessionError::ChallengeReused => write!(f, "challenge reuse detected"),
             SessionError::Verification(v) => write!(f, "verification failed: {v}"),
         }
     }
@@ -91,7 +87,6 @@ impl VerifierSession {
             counter: 0,
             responses: 0,
             outstanding: VecDeque::new(),
-            used: HashSet::new(),
         }
     }
 
@@ -145,19 +140,15 @@ impl VerifierSession {
     /// # Errors
     ///
     /// [`SessionError::NoOutstandingChallenge`] when no request is in
-    /// flight, [`SessionError::ChallengeReused`] when the nonce was
-    /// consumed before, and [`SessionError::Verification`] for
-    /// evidence failures (which also consume the challenge — a device
-    /// does not get a second try against the same nonce).
+    /// flight, and [`SessionError::Verification`] for evidence
+    /// failures (which also consume the challenge — a device does not
+    /// get a second try against the same nonce).
     pub fn check_response(&mut self, reports: &[Report]) -> Result<VerifiedPath, SessionError> {
         self.responses += 1;
         let chal = self
             .outstanding
             .pop_front()
             .ok_or(SessionError::NoOutstandingChallenge)?;
-        if !self.used.insert(chal.0) {
-            return Err(SessionError::ChallengeReused);
-        }
         self.verifier
             .verify(chal, reports)
             .map_err(SessionError::Verification)
@@ -170,10 +161,10 @@ impl VerifierSession {
     /// zero when the failure happened before a challenge was matched),
     /// a hash of the judged report stream and this session's response
     /// counter as the logical timestamp. Protocol failures seal as
-    /// rejections with kinds `no-outstanding-challenge` /
-    /// `challenge-reused`; verification failures carry the
-    /// [`Violation`] kind. The plain result is returned alongside so
-    /// callers keep the old enum as a view of the record.
+    /// rejections with kind `no-outstanding-challenge`; verification
+    /// failures carry the [`Violation`] kind. The plain result is
+    /// returned alongside so callers keep the old enum as a view of the
+    /// record.
     pub fn check_response_record(
         &mut self,
         device: &str,
@@ -206,10 +197,6 @@ impl VerifierSession {
                 draft.kind = "no-outstanding-challenge".to_string();
                 draft.detail = SessionError::NoOutstandingChallenge.to_string();
             }
-            Err(SessionError::ChallengeReused) => {
-                draft.kind = "challenge-reused".to_string();
-                draft.detail = SessionError::ChallengeReused.to_string();
-            }
             Err(SessionError::Verification(v)) => {
                 draft.kind = v.kind().to_string();
                 draft.detail = v.to_string();
@@ -236,6 +223,7 @@ mod tests {
     use crate::{device_key, CfaEngine, EngineConfig};
     use armv8m_isa::{Asm, Reg};
     use rap_link::{link, LinkOptions};
+    use std::collections::HashSet;
 
     fn linked() -> rap_link::LinkedProgram {
         let mut a = Asm::new();

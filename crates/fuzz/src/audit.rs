@@ -49,7 +49,7 @@ fn gen_record(rng: &mut Rng, seal_key: &[u8], seq: u64) -> VerdictRecord {
     let (kind, detail) = if accepted {
         (String::new(), String::new())
     } else {
-        let kinds = ["return-mismatch", "wire", "challenge-reused", "bad-tag"];
+        let kinds = ["return-mismatch", "wire", "bad-tag"];
         (
             kinds[rng.usize_below(kinds.len())].to_string(),
             format!("fuzz detail {:x}", rng.next_u64()),

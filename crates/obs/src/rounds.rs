@@ -1,13 +1,13 @@
 //! Per-round trace contexts and slow-round exemplars.
 //!
-//! The serve pipeline processes one attestation *round* through five
-//! stages — accept queue, dispatcher, shard queue, worker replay,
-//! verdict batch flush. A [`RoundCollector`] threads a `u64` trace id
-//! (minted when the round's CHALLENGE is issued) through all of them
-//! and retains the full [`StageSpan`] tree of *slow* rounds — rounds
-//! whose end-to-end latency exceeds a threshold — in a bounded ring of
-//! [`RoundExemplar`]s, together with the device id and the queue
-//! depths observed when the connection was enqueued.
+//! The serve pipeline processes one attestation *round* through four
+//! stages — connection queue, opener read, worker replay, verdict
+//! batch flush. A [`RoundCollector`] threads a `u64` trace id (minted
+//! when the round's CHALLENGE is issued) through all of them and
+//! retains the full [`StageSpan`] tree of *slow* rounds — rounds whose
+//! end-to-end latency exceeds a threshold — in a bounded ring of
+//! [`RoundExemplar`]s, together with the device id and the queue depth
+//! observed when the connection was enqueued.
 //!
 //! Cost discipline (same contract as [`trace`](crate::trace)): a
 //! disabled collector costs one relaxed atomic load plus a branch per
@@ -32,8 +32,7 @@ pub struct StageSpan {
     /// The round's trace id — every span in one round's tree carries
     /// the same value.
     pub trace_id: u64,
-    /// Stage name (`"accept"`, `"dispatch"`, `"shard_queue"`,
-    /// `"replay"`, `"flush"`).
+    /// Stage name (`"accept"`, `"opener"`, `"replay"`, `"flush"`).
     pub stage: &'static str,
     /// Stage start, ns since the epoch.
     pub start_ns: u64,
@@ -53,7 +52,7 @@ impl StageSpan {
 }
 
 /// A retained slow round: its full span tree plus the context needed
-/// to attribute the latency (device, verdict, queue depths at enqueue
+/// to attribute the latency (device, verdict, queue depth at enqueue
 /// time).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundExemplar {
@@ -65,10 +64,8 @@ pub struct RoundExemplar {
     pub total_ns: u64,
     /// Whether the round's evidence verified.
     pub accepted: bool,
-    /// Accept-queue depth when the connection was enqueued.
+    /// Connection-queue depth when the connection was enqueued.
     pub accept_depth: u32,
-    /// Shard-queue depth when the connection was enqueued.
-    pub shard_depth: u32,
     /// Per-stage spans, in pipeline order.
     pub spans: Vec<StageSpan>,
 }
@@ -81,7 +78,6 @@ impl RoundExemplar {
             ("total_ns", Json::Uint(self.total_ns)),
             ("accepted", Json::Bool(self.accepted)),
             ("accept_depth", Json::Uint(u64::from(self.accept_depth))),
-            ("shard_depth", Json::Uint(u64::from(self.shard_depth))),
             (
                 "spans",
                 Json::Arr(self.spans.iter().map(StageSpan::to_json).collect()),
@@ -232,7 +228,6 @@ mod tests {
             total_ns,
             accepted: true,
             accept_depth: 0,
-            shard_depth: 2,
             spans: vec![StageSpan {
                 trace_id,
                 stage: "replay",

@@ -435,9 +435,7 @@ impl Verdict {
         } else {
             match f.kind.as_str() {
                 "wire" => format!("wire: {}", f.detail),
-                "no-outstanding-challenge" | "challenge-reused" => {
-                    format!("session: {}", f.detail)
-                }
+                "no-outstanding-challenge" => format!("session: {}", f.detail),
                 _ => format!("violation: {}", f.detail),
             }
         };

@@ -5,15 +5,15 @@
 //! this crate puts an actual wire between them. Std-only TCP, no
 //! external dependencies, same as the rest of the workspace.
 //!
-//! * [`Server`] — bounded accept loop → device-sharded dispatcher →
-//!   one worker per verifier shard, every connection a
-//!   [`rap_track::VerifierSession`] over clones of one shared
-//!   [`rap_track::Verifier`] (one replay cache for the whole fleet,
-//!   with per-device thread locality from the sharding). Rounds are
-//!   pipelined up to a granted window and verdict/observability
-//!   writes are batched per drain tick. Overload is shed with
-//!   `ERROR busy`; shutdown drains in-flight rounds and flushes
-//!   `rap-obs`. A closing connection parks its session under a
+//! * [`Server`] — accept loop → one bounded connection queue → a pool
+//!   of interchangeable workers; the worker that pops a connection
+//!   reads its opener and serves it as a
+//!   [`rap_track::VerifierSession`] over a clone of one shared
+//!   [`rap_track::Verifier`] (one segment table for the whole fleet).
+//!   Rounds are pipelined up to a granted window and
+//!   verdict/observability writes are batched per drain tick. Overload
+//!   is shed with `ERROR busy`; shutdown drains in-flight rounds and
+//!   flushes `rap-obs`. A closing connection parks its session under a
 //!   single-use resumption token so the device can continue its nonce
 //!   chain on the next connection.
 //! * [`AttestClient`] — connect/read deadlines and bounded

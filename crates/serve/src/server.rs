@@ -1,17 +1,16 @@
-//! The attestation server: a bounded accept loop feeding a dispatcher
-//! that routes each connection to a verifier shard by device id, where
-//! a shard worker drives one [`VerifierSession`] per connection
-//! through pipelined CHALLENGE/ATTEST/VERDICT rounds.
+//! The attestation server: a bounded accept loop feeding one bounded
+//! connection queue, drained by interchangeable workers. The worker
+//! that pops a connection reads its opener (`HELLO` or `RESUME`), then
+//! drives one [`VerifierSession`] through pipelined
+//! CHALLENGE/ATTEST/VERDICT rounds until the connection ends.
 //!
-//! All shard workers clone one [`Verifier`], so every connection
-//! shares the two-level replay cache — a fleet of devices running the
-//! same binary decodes each deterministic stretch once, no matter
-//! which connection saw it first. Routing by device id additionally
-//! keeps each device's rounds on one worker thread, so the per-thread
-//! L1 of the replay cache stays warm for that device. Session state
-//! (nonces, used-challenge set) stays strictly per-connection: each
-//! fresh session is seeded with the server secret *plus a unique
-//! connection id*, so a nonce can never repeat across connections.
+//! All workers clone one [`Verifier`], so every connection shares its
+//! segment table — a fleet of devices running the same binary decodes
+//! each deterministic stretch once, no matter which connection saw it
+//! first. Session state (nonce counter, outstanding-challenge window)
+//! stays strictly per-connection: each fresh session is seeded with
+//! the server secret *plus a unique connection id*, so a nonce can
+//! never repeat across connections.
 //!
 //! Rounds are pipelined: the handshake grants a window of `W`
 //! challenges up front, the client writes ahead up to `W` ATTEST
@@ -23,17 +22,17 @@
 //! reconnecting device presents that token in a `RESUME` opener to
 //! continue its nonce chain without a fresh `HELLO` setup.
 //!
-//! Overload is shed, not queued: when the accept backlog or a shard's
-//! queue is full, the connection is answered with `ERROR busy` and
-//! closed instead of growing an unbounded backlog. Shutdown drains:
-//! the listener stops accepting, queued and in-flight rounds finish
-//! (bounded by the per-connection read deadline), and every worker
-//! flushes its `rap-obs` trace ring before joining.
+//! Overload is shed, not queued: when the connection queue is full,
+//! the connection is answered with `ERROR busy` and closed instead of
+//! growing an unbounded backlog. Shutdown drains: the listener stops
+//! accepting, queued and in-flight rounds finish (bounded by the
+//! per-connection read deadline), and every worker flushes its
+//! `rap-obs` trace ring before joining.
 //!
 //! With [`ServerConfig::admin_addr`] set, the server additionally
 //! runs a *telemetry plane*: every round gets a trace id minted at
-//! CHALLENGE issue and carried through accept → dispatch → shard
-//! queue → replay → flush, slow rounds retain their full span tree in
+//! CHALLENGE issue and carried through accept → opener → replay →
+//! flush, slow rounds retain their full span tree in
 //! a bounded [`RoundCollector`] ring, and a separate loopback admin
 //! listener answers `STATS`/`EXEMPLARS` frames with point-in-time
 //! snapshots plus a per-device aggregate table. With `admin_addr`
@@ -64,7 +63,7 @@ use crate::frame::{
 pub type RoundEventFn = dyn Fn(&RoundEvent) + Send + Sync;
 
 /// A typed event from the serving path, delivered to [`RoundHook`]
-/// observers synchronously on the shard worker.
+/// observers synchronously on the worker serving the connection.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches need a wildcard arm
 /// so new event kinds can be added without a breaking change.
@@ -88,7 +87,7 @@ pub enum RoundEvent {
 pub type AdminExtraFn = dyn Fn() -> Vec<(String, Json)> + Send + Sync;
 
 /// A server-side observer invoked once per round with a typed
-/// [`RoundEvent`], synchronously on the shard worker *before* the
+/// [`RoundEvent`], synchronously on the worker *before* the
 /// verdict batch is flushed. Control planes (rap-fleet) hang their
 /// policy reactions off this; keep the callback cheap — it runs inside
 /// the drain tick.
@@ -131,11 +130,12 @@ impl std::fmt::Debug for AdminExtra {
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Verifier shards (one worker thread per shard; connections are
-    /// routed to shards by device id).
+    /// Worker threads. Any worker serves any connection, from its
+    /// opener until it closes, so up to `threads` connections are
+    /// served at once.
     pub threads: usize,
-    /// Connections that may wait for the dispatcher or a shard worker
-    /// before new arrivals are shed with `ERROR busy`.
+    /// Connections that may wait in the queue for a free worker before
+    /// new arrivals are shed with `ERROR busy`.
     pub max_pending: usize,
     /// Payload-size cap applied before any allocation.
     pub max_frame_len: u32,
@@ -179,8 +179,8 @@ pub struct ServerConfig {
     /// cannot grow server memory without bound.
     pub device_table_cap: usize,
     /// Called once per round with a typed [`RoundEvent`] carrying the
-    /// sealed [`VerdictRecord`], on the shard worker before the
-    /// verdict batch flushes.
+    /// sealed [`VerdictRecord`], on the worker before the verdict batch
+    /// flushes.
     pub round_hook: Option<RoundHook>,
     /// When set, every sealed verdict is appended to the hash-chained
     /// audit log at this path (created or recovered via
@@ -258,7 +258,7 @@ impl From<std::io::Error> for StartError {
 /// Counters reported by [`Server::shutdown`]/[`Server::join`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections accepted and handed to the dispatcher.
+    /// Connections accepted and queued for a worker.
     pub accepted: u64,
     /// Connections shed with `ERROR busy`.
     pub shed: u64,
@@ -304,26 +304,28 @@ impl Counters {
     }
 }
 
-/// Bounded handoff between pipeline stages (accept → dispatch →
-/// shard). `try_push` refuses instead of blocking — that refusal is
-/// the load shed. `pop` blocks until an item arrives or the queue
+/// The bounded connection queue between the accept loop and the
+/// workers. `try_push` refuses instead of blocking — that refusal is
+/// the load shed. `pop` blocks until a connection arrives or the queue
 /// closes.
-struct HandoffQueue<T> {
-    inner: Mutex<QueueInner<T>>,
+struct ConnQueue {
+    inner: Mutex<QueueInner>,
     ready: Condvar,
     cap: usize,
 }
 
-struct QueueInner<T> {
-    items: VecDeque<T>,
+struct QueueInner {
+    conns: VecDeque<AcceptedConn>,
     closed: bool,
 }
 
-impl<T> HandoffQueue<T> {
-    fn new(cap: usize) -> HandoffQueue<T> {
-        HandoffQueue {
+const QUEUE_POISONED: &str = "a thread panicked holding the connection queue lock";
+
+impl ConnQueue {
+    fn new(cap: usize) -> ConnQueue {
+        ConnQueue {
             inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
+                conns: VecDeque::new(),
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -331,56 +333,53 @@ impl<T> HandoffQueue<T> {
         }
     }
 
-    /// Returns the item on refusal (queue full or closed) so the
-    /// caller can still talk to the connection it failed to enqueue.
-    ///
-    /// `stamp` runs under the queue lock with the depth the item is
-    /// entering at — the telemetry plane uses it to record enqueue-time
-    /// queue depths without a second lock acquisition; pass
-    /// `|_, _| {}` when the depth is not needed.
-    fn try_push(&self, mut item: T, stamp: impl FnOnce(&mut T, usize)) -> Result<(), T> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed || inner.items.len() >= self.cap {
-            return Err(item);
+    /// Returns the connection on refusal (queue full or closed) so the
+    /// caller can still answer it. Stamps the depth the connection
+    /// enters at under the queue lock, so an exemplar reports exactly
+    /// the depth its connection saw.
+    fn try_push(&self, mut conn: AcceptedConn) -> Result<(), AcceptedConn> {
+        let mut inner = self.inner.lock().expect(QUEUE_POISONED);
+        if inner.closed || inner.conns.len() >= self.cap {
+            return Err(conn);
         }
-        stamp(&mut item, inner.items.len());
-        inner.items.push_back(item);
+        conn.accept_depth = inner.conns.len() as u32;
+        inner.conns.push_back(conn);
         drop(inner);
         self.ready.notify_one();
         Ok(())
     }
 
-    fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
+    fn pop(&self) -> Option<AcceptedConn> {
+        let mut inner = self.inner.lock().expect(QUEUE_POISONED);
         loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
+            if let Some(conn) = inner.conns.pop_front() {
+                return Some(conn);
             }
             if inner.closed {
                 return None;
             }
-            inner = self.ready.wait(inner).unwrap();
+            inner = self.ready.wait(inner).expect(QUEUE_POISONED);
         }
     }
 
     fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.inner.lock().expect(QUEUE_POISONED).closed = true;
         self.ready.notify_all();
     }
 }
 
-/// A connection the accept loop has enqueued for the dispatcher.
+/// A connection the accept loop has queued for a worker.
 struct AcceptedConn {
     conn_id: u64,
     stream: TcpStream,
     /// When the accept loop enqueued the connection.
     accepted_at: Instant,
-    /// Accept-queue depth at enqueue time (stamped under the lock).
+    /// Queue depth at enqueue time (stamped under the lock).
     accept_depth: u32,
 }
 
-/// A connection whose opener has been read and routed: everything a
-/// shard worker needs to run the session.
+/// A connection whose opener has been read: everything
+/// [`serve_connection`] needs to run the session.
 struct PendingConn {
     conn_id: u64,
     stream: TcpStream,
@@ -391,14 +390,10 @@ struct PendingConn {
     restored: Option<VerifierSession>,
     /// When the accept loop enqueued the connection.
     accepted_at: Instant,
-    /// When the dispatcher picked it up (opener read starts).
-    dispatch_started_at: Instant,
-    /// When the dispatcher enqueued it on its shard.
-    shard_enqueued_at: Instant,
-    /// Accept-queue depth at enqueue time.
+    /// When a worker popped it (opener read starts).
+    picked_at: Instant,
+    /// Queue depth at enqueue time.
     accept_depth: u32,
-    /// Shard-queue depth at enqueue time (stamped under the lock).
-    shard_depth: u32,
 }
 
 /// A session parked at connection close, waiting for a `RESUME`.
@@ -522,7 +517,7 @@ impl Telemetry {
     }
 }
 
-/// Everything the dispatcher and shard workers share.
+/// Everything the accept loop and the workers share.
 struct Shared {
     config: ServerConfig,
     counters: Counters,
@@ -533,8 +528,8 @@ struct Shared {
     epoch: Instant,
     /// `Some` iff the admin endpoint is configured.
     telemetry: Option<Telemetry>,
-    /// `Some` iff [`ServerConfig::audit_log`] is set. Shard workers
-    /// append sealed records under this lock once per drain tick (one
+    /// `Some` iff [`ServerConfig::audit_log`] is set. Workers append
+    /// sealed records under this lock once per drain tick (one
     /// batched `write` per tick), so contention is per-tick, not
     /// per-round.
     audit: Option<Mutex<AuditLog>>,
@@ -553,17 +548,6 @@ fn mint_token(secret: &[u8], id: u64, device: &str) -> ResumeToken {
     }
 }
 
-/// FNV-1a, the shard router. Stable across runs so a device always
-/// lands on the same shard for a given thread count.
-fn shard_of(device: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in device.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
-}
-
 /// A running attestation server; dropping it without calling
 /// [`Server::shutdown`] aborts the drain (threads are detached).
 pub struct Server {
@@ -571,17 +555,15 @@ pub struct Server {
     admin_local: Option<SocketAddr>,
     shared: Arc<Shared>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
-    dispatch_handle: Option<std::thread::JoinHandle<()>>,
     admin_handle: Option<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
-    accept_queue: Arc<HandoffQueue<AcceptedConn>>,
-    shard_queues: Vec<Arc<HandoffQueue<PendingConn>>>,
+    queue: Arc<ConnQueue>,
 }
 
 impl Server {
     /// Binds `addr` (`"127.0.0.1:0"` picks an ephemeral port) and
-    /// starts the accept loop, the dispatcher, and one worker per
-    /// verifier shard, all verifying through clones of `verifier`.
+    /// starts the accept loop and [`ServerConfig::threads`] workers,
+    /// all verifying through clones of `verifier`.
     ///
     /// # Errors
     ///
@@ -613,8 +595,8 @@ impl Server {
             None => None,
         };
 
-        let shards = config.threads.max(1);
-        let max_pending = config.max_pending;
+        let threads = config.threads.max(1);
+        let queue = Arc::new(ConnQueue::new(config.max_pending));
         let telemetry = admin_listener.as_ref().map(|_| Telemetry::new(&config));
         let audit = match &config.audit_log {
             Some(path) => Some(Mutex::new(AuditLog::open(path).map_err(StartError::Audit)?)),
@@ -630,22 +612,19 @@ impl Server {
             telemetry,
             audit,
         });
-        let accept_queue = Arc::new(HandoffQueue::new(max_pending));
-        let shard_queues: Vec<Arc<HandoffQueue<PendingConn>>> = (0..shards)
-            .map(|_| Arc::new(HandoffQueue::new(max_pending)))
-            .collect();
 
-        let worker_handles = shard_queues
-            .iter()
-            .map(|queue| {
-                let queue = Arc::clone(queue);
+        let worker_handles = (0..threads)
+            .map(|_| {
+                let queue = Arc::clone(&queue);
                 let shared = Arc::clone(&shared);
                 let verifier = verifier.clone();
                 std::thread::spawn(move || {
-                    while let Some(pending) = queue.pop() {
-                        rap_obs::gauge!("serve_shard_queue_depth").dec();
+                    while let Some(conn) = queue.pop() {
+                        rap_obs::gauge!("serve_accept_queue_depth").dec();
                         rap_obs::gauge!("serve_active_connections").inc();
-                        serve_connection(&shared, &verifier, pending);
+                        if let Some(pending) = read_opener(&shared, conn) {
+                            serve_connection(&shared, &verifier, pending);
+                        }
                         rap_obs::gauge!("serve_active_connections").dec();
                     }
                     // Scoped-thread rule from the fleet layer applies
@@ -655,25 +634,12 @@ impl Server {
             })
             .collect();
 
-        let dispatch_handle = {
-            let accept_queue = Arc::clone(&accept_queue);
-            let shard_queues = shard_queues.clone();
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                dispatch_loop(&accept_queue, &shard_queues, &shared);
-                for q in &shard_queues {
-                    q.close();
-                }
-                rap_obs::flush_thread();
-            })
-        };
-
         let accept_handle = {
-            let accept_queue = Arc::clone(&accept_queue);
+            let queue = Arc::clone(&queue);
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                accept_loop(listener, &accept_queue, &shared);
-                accept_queue.close();
+                accept_loop(listener, &queue, &shared);
+                queue.close();
                 // The accept loop records counters through per-thread
                 // rings too — flush them like every other stage thread.
                 rap_obs::flush_thread();
@@ -693,11 +659,9 @@ impl Server {
             admin_local,
             shared,
             accept_handle: Some(accept_handle),
-            dispatch_handle: Some(dispatch_handle),
             admin_handle,
             worker_handles,
-            accept_queue,
-            shard_queues,
+            queue,
         })
     }
 
@@ -728,7 +692,7 @@ impl Server {
 
     /// Waits for the server to drain on its own — only meaningful with
     /// [`ServerConfig::conn_limit`], after which the accept loop exits
-    /// and the queues close without an explicit [`Server::shutdown`].
+    /// and the queue closes without an explicit [`Server::shutdown`].
     pub fn join(mut self) -> ServerStats {
         self.join_threads();
         self.shared.counters.snapshot()
@@ -738,13 +702,7 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        self.accept_queue.close();
-        if let Some(h) = self.dispatch_handle.take() {
-            let _ = h.join();
-        }
-        for q in &self.shard_queues {
-            q.close();
-        }
+        self.queue.close();
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
@@ -758,7 +716,7 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, queue: &HandoffQueue<AcceptedConn>, shared: &Shared) {
+fn accept_loop(listener: TcpListener, queue: &ConnQueue, shared: &Shared) {
     let config = &shared.config;
     let counters = &shared.counters;
     let mut next_conn_id = 0u64;
@@ -782,7 +740,7 @@ fn accept_loop(listener: TcpListener, queue: &HandoffQueue<AcceptedConn>, shared
                     accepted_at: Instant::now(),
                     accept_depth: 0,
                 };
-                match queue.try_push(conn, |c, depth| c.accept_depth = depth as u32) {
+                match queue.try_push(conn) {
                     Ok(()) => {
                         counters.accepted.fetch_add(1, Ordering::Relaxed);
                         rap_obs::counter!("serve_conns_accepted_total").inc();
@@ -813,127 +771,91 @@ fn accept_loop(listener: TcpListener, queue: &HandoffQueue<AcceptedConn>, shared
     }
 }
 
-/// Reads each queued connection's opener (`HELLO` or `RESUME`),
-/// validates resumption tokens, and routes the connection to its
-/// device's shard.
-fn dispatch_loop(
-    accept_queue: &HandoffQueue<AcceptedConn>,
-    shard_queues: &[Arc<HandoffQueue<PendingConn>>],
-    shared: &Shared,
-) {
+/// Reads a popped connection's opener (`HELLO` or `RESUME`) and
+/// validates its resumption token. A connection that closes first, or
+/// whose opener is bad, gets a typed `ERROR` where one applies and
+/// yields `None`.
+fn read_opener(shared: &Shared, conn: AcceptedConn) -> Option<PendingConn> {
     let config = &shared.config;
     let counters = &shared.counters;
-    while let Some(conn) = accept_queue.pop() {
-        rap_obs::gauge!("serve_accept_queue_depth").dec();
-        let AcceptedConn {
-            conn_id,
-            mut stream,
-            accepted_at,
-            accept_depth,
-        } = conn;
-        let dispatch_started_at = Instant::now();
-        if shared.shutdown.load(Ordering::SeqCst) {
+    let AcceptedConn {
+        conn_id,
+        mut stream,
+        accepted_at,
+        accept_depth,
+    } = conn;
+    let picked_at = Instant::now();
+    if shared.shutdown.load(Ordering::SeqCst) {
+        send_error(
+            &mut stream,
+            counters,
+            ErrorCode::Draining,
+            "server draining",
+        );
+        return None;
+    }
+    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let frame = match read_frame(&mut stream, config.max_frame_len) {
+        Ok(Some(frame)) => frame,
+        Ok(None) => return None, // closed before the opener
+        Err(e) => {
+            send_read_error(&mut stream, counters, &e);
+            return None;
+        }
+    };
+    rap_obs::counter!("serve_frames_rx_total").inc();
+    let opener = match frame.frame_type {
+        FrameType::Hello => {
+            decode_hello(&frame.payload).map(|(window, device)| (window, device, None))
+        }
+        FrameType::Resume => decode_resume(&frame.payload)
+            .map(|(token, window, device)| (window, device, Some(token))),
+        _ => {
             send_error(
                 &mut stream,
                 counters,
-                ErrorCode::Draining,
-                "server draining",
+                ErrorCode::Protocol,
+                "expected HELLO or RESUME",
             );
-            continue;
+            return None;
         }
-        let _ = stream.set_read_timeout(Some(config.read_timeout));
-        let frame = match read_frame(&mut stream, config.max_frame_len) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => continue, // closed before the opener
-            Err(e) => {
-                send_read_error(&mut stream, counters, &e);
-                continue;
-            }
-        };
-        rap_obs::counter!("serve_frames_rx_total").inc();
-        let pending = match frame.frame_type {
-            FrameType::Hello => match decode_hello(&frame.payload) {
-                Ok((requested_window, device)) => PendingConn {
-                    conn_id,
-                    stream,
-                    device,
-                    requested_window,
-                    restored: None,
-                    accepted_at,
-                    dispatch_started_at,
-                    shard_enqueued_at: dispatch_started_at,
-                    accept_depth,
-                    shard_depth: 0,
-                },
-                Err(e) => {
-                    send_error(&mut stream, counters, ErrorCode::Protocol, &e.to_string());
-                    continue;
-                }
-            },
-            FrameType::Resume => match decode_resume(&frame.payload) {
-                Ok((token, requested_window, device)) => {
-                    match take_resume_entry(shared, &token, &device) {
-                        Ok(session) => {
-                            counters.resumed.fetch_add(1, Ordering::Relaxed);
-                            rap_obs::counter!("serve_sessions_resumed_total").inc();
-                            if let Some(t) = &shared.telemetry {
-                                t.devices.lock().unwrap().touch(&device).resumes += 1;
-                            }
-                            PendingConn {
-                                conn_id,
-                                stream,
-                                device,
-                                requested_window,
-                                restored: Some(session),
-                                accepted_at,
-                                dispatch_started_at,
-                                shard_enqueued_at: dispatch_started_at,
-                                accept_depth,
-                                shard_depth: 0,
-                            }
-                        }
-                        Err(why) => {
-                            counters.resume_rejected.fetch_add(1, Ordering::Relaxed);
-                            rap_obs::counter!("serve_resume_rejected_total").inc();
-                            send_error(&mut stream, counters, ErrorCode::ResumeRejected, why);
-                            continue;
-                        }
-                    }
-                }
-                Err(e) => {
-                    send_error(&mut stream, counters, ErrorCode::Protocol, &e.to_string());
-                    continue;
-                }
-            },
-            _ => {
-                send_error(
-                    &mut stream,
-                    counters,
-                    ErrorCode::Protocol,
-                    "expected HELLO or RESUME",
-                );
-                continue;
-            }
-        };
-        let shard = shard_of(&pending.device, shard_queues.len());
-        let stamp = |p: &mut PendingConn, depth: usize| {
-            p.shard_depth = depth as u32;
-            p.shard_enqueued_at = Instant::now();
-        };
-        match shard_queues[shard].try_push(pending, stamp) {
-            Ok(()) => rap_obs::gauge!("serve_shard_queue_depth").inc(),
-            Err(mut refused) => {
-                counters.shed.fetch_add(1, Ordering::Relaxed);
-                rap_obs::counter!("serve_conns_shed_total").inc();
-                send_error(
-                    &mut refused.stream,
-                    counters,
-                    ErrorCode::Busy,
-                    "verifier shard queue full",
-                );
-            }
+    };
+    let (requested_window, device, token) = match opener {
+        Ok(opener) => opener,
+        Err(e) => {
+            send_error(&mut stream, counters, ErrorCode::Protocol, &e.to_string());
+            return None;
         }
-    }
+    };
+    let restored = match token {
+        None => None,
+        Some(token) => match take_resume_entry(shared, &token, &device) {
+            Ok(session) => {
+                counters.resumed.fetch_add(1, Ordering::Relaxed);
+                rap_obs::counter!("serve_sessions_resumed_total").inc();
+                if let Some(t) = &shared.telemetry {
+                    t.devices.lock().unwrap().touch(&device).resumes += 1;
+                }
+                Some(session)
+            }
+            Err(why) => {
+                counters.resume_rejected.fetch_add(1, Ordering::Relaxed);
+                rap_obs::counter!("serve_resume_rejected_total").inc();
+                send_error(&mut stream, counters, ErrorCode::ResumeRejected, why);
+                return None;
+            }
+        },
+    };
+    Some(PendingConn {
+        conn_id,
+        stream,
+        device,
+        requested_window,
+        restored,
+        accepted_at,
+        picked_at,
+        accept_depth,
+    })
 }
 
 /// Validates and consumes a resumption token. The mac check binds the
@@ -1107,25 +1029,22 @@ fn rel_ns(epoch: Instant, t: Instant) -> u64 {
 }
 
 /// Per-connection telemetry context: the connection-level stage spans
-/// (accept wait, dispatch, shard-queue wait) every round of this
-/// connection shares, plus the queue depths observed at enqueue time.
-/// Built once per connection, only when the telemetry plane is on.
+/// (queue wait, opener read) every round of this connection shares,
+/// plus the queue depth observed at enqueue time. Built once per
+/// connection, only when the telemetry plane is on.
 struct ConnObs<'a> {
     telemetry: &'a Telemetry,
     epoch: Instant,
     device: String,
     accept_start_ns: u64,
     accept_dur_ns: u64,
-    dispatch_start_ns: u64,
-    dispatch_dur_ns: u64,
-    shardq_start_ns: u64,
-    shardq_dur_ns: u64,
+    opener_start_ns: u64,
+    opener_dur_ns: u64,
     accept_depth: u32,
-    shard_depth: u32,
 }
 
 fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) {
-    let replay_picked_at = Instant::now();
+    let opener_read_at = Instant::now();
     let PendingConn {
         conn_id,
         mut stream,
@@ -1133,10 +1052,8 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
         requested_window,
         restored,
         accepted_at,
-        dispatch_started_at,
-        shard_enqueued_at,
+        picked_at,
         accept_depth,
-        shard_depth,
     } = pending;
     let config = &shared.config;
     let counters = &shared.counters;
@@ -1146,19 +1063,12 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
         epoch: shared.epoch,
         device: device.clone(),
         accept_start_ns: rel_ns(shared.epoch, accepted_at),
-        accept_dur_ns: dispatch_started_at
-            .saturating_duration_since(accepted_at)
-            .as_nanos() as u64,
-        dispatch_start_ns: rel_ns(shared.epoch, dispatch_started_at),
-        dispatch_dur_ns: shard_enqueued_at
-            .saturating_duration_since(dispatch_started_at)
-            .as_nanos() as u64,
-        shardq_start_ns: rel_ns(shared.epoch, shard_enqueued_at),
-        shardq_dur_ns: replay_picked_at
-            .saturating_duration_since(shard_enqueued_at)
+        accept_dur_ns: picked_at.saturating_duration_since(accepted_at).as_nanos() as u64,
+        opener_start_ns: rel_ns(shared.epoch, picked_at),
+        opener_dur_ns: opener_read_at
+            .saturating_duration_since(picked_at)
             .as_nanos() as u64,
         accept_depth,
-        shard_depth,
     });
 
     let _ = stream.set_read_timeout(Some(config.read_timeout));
@@ -1222,6 +1132,8 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
 
     let mut inbuf = FrameBuf::new();
     let mut tick = TickTally::default();
+    // Set once shutdown is seen: the next drain tick is the last.
+    let mut last_tick = false;
     loop {
         // Drain tick: verify every complete frame already buffered,
         // accumulating verdicts + replacement challenges in `outbuf`
@@ -1332,7 +1244,7 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
         ) {
             return;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if last_tick {
             send_error(
                 &mut stream,
                 counters,
@@ -1340,6 +1252,16 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
                 "server draining",
             );
             return;
+        }
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // Drain: take what the socket already holds without waiting
+            // for more, verify its complete frames in one last tick,
+            // then answer `Draining`.
+            last_tick = true;
+            let _ = stream.set_nonblocking(true);
+            let _ = inbuf.fill(&mut stream);
+            let _ = stream.set_nonblocking(false);
+            continue;
         }
         match inbuf.fill(&mut stream) {
             // Clean close between frames: park the session so the
@@ -1472,7 +1394,7 @@ fn flush_tick(
 
 /// Post-flush round finalization: observe end-to-end latencies, update
 /// the device aggregate row (one lock for the whole batch), and offer
-/// each round to the slow-round exemplar ring with its five-stage span
+/// each round to the slow-round exemplar ring with its four-stage span
 /// tree.
 fn finalize_rounds(obs: &ConnObs<'_>, flush_start: Instant, rounds: &[PendingRound]) {
     let flush_end = Instant::now();
@@ -1503,7 +1425,6 @@ fn finalize_rounds(obs: &ConnObs<'_>, flush_start: Instant, rounds: &[PendingRou
             total_ns,
             accepted: r.accepted,
             accept_depth: obs.accept_depth,
-            shard_depth: obs.shard_depth,
             spans: vec![
                 StageSpan {
                     trace_id: r.trace_id,
@@ -1513,15 +1434,9 @@ fn finalize_rounds(obs: &ConnObs<'_>, flush_start: Instant, rounds: &[PendingRou
                 },
                 StageSpan {
                     trace_id: r.trace_id,
-                    stage: "dispatch",
-                    start_ns: obs.dispatch_start_ns,
-                    dur_ns: obs.dispatch_dur_ns,
-                },
-                StageSpan {
-                    trace_id: r.trace_id,
-                    stage: "shard_queue",
-                    start_ns: obs.shardq_start_ns,
-                    dur_ns: obs.shardq_dur_ns,
+                    stage: "opener",
+                    start_ns: obs.opener_start_ns,
+                    dur_ns: obs.opener_dur_ns,
                 },
                 StageSpan {
                     trace_id: r.trace_id,
@@ -1766,17 +1681,6 @@ mod tests {
         assert_ne!(t.mac, mint_token(b"secret", 8, "device-a").mac);
         assert_ne!(t.mac, mint_token(b"secret", 7, "device-b").mac);
         assert_ne!(t.mac, mint_token(b"other", 7, "device-a").mac);
-    }
-
-    #[test]
-    fn shard_routing_is_stable_and_in_range() {
-        for shards in 1..=8usize {
-            for device in ["a", "device-1", "device-2", "αβγ"] {
-                let s = shard_of(device, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(device, shards));
-            }
-        }
     }
 
     #[test]

@@ -364,6 +364,93 @@ fn overload_is_shed_with_busy() {
     assert!(stats.shed >= 1, "at least one connection shed: {stats:?}");
 }
 
+/// FNV-1a of a device id: the hash a per-device worker router would
+/// take modulo the worker count.
+fn fnv1a(device: &str) -> u64 {
+    device.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Reads a fresh connection's first frame and returns how long it
+/// took, asserting that it is a CHALLENGE.
+fn time_to_first_challenge(client: &AttestClient, device: &str) -> Duration {
+    let started = Instant::now();
+    let mut conn = client.open(device).expect("opens");
+    let first = conn.read_next();
+    let waited = started.elapsed();
+    assert!(
+        matches!(first, Ok((FrameType::Challenge, _))),
+        "{device}: expected a CHALLENGE, got {first:?} after {waited:?}"
+    );
+    waited
+}
+
+#[test]
+fn devices_with_colliding_hashes_are_served_concurrently() {
+    let (linked, _w) = deployed();
+    let server = Server::start(
+        test_verifier(&linked),
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 2,
+            read_timeout: Duration::from_secs(2),
+            ..test_config()
+        },
+    )
+    .expect("binds");
+    let client = quick_client(server.local_addr());
+    // Two ids that `FNV-1a(device) mod 2` would pin to the same worker.
+    let first = "held-0";
+    let second = (1..)
+        .map(|i| format!("held-{i}"))
+        .find(|d| fnv1a(d) % 2 == fnv1a(first) % 2)
+        .expect("a colliding id exists");
+
+    // The first device holds its connection open mid-session, so one
+    // worker is blocked reading its ATTEST.
+    let mut held = client.open(first).expect("opens");
+    let (ft, _) = held.read_next().expect("challenge arrives");
+    assert_eq!(ft, FrameType::Challenge);
+
+    let waited = time_to_first_challenge(&client, &second);
+    assert!(
+        waited < Duration::from_millis(500),
+        "{second} waited {waited:?} for its CHALLENGE while a worker sat idle"
+    );
+
+    drop(held);
+    server.shutdown();
+}
+
+#[test]
+fn silent_opener_does_not_delay_other_clients() {
+    let (linked, _w) = deployed();
+    let server = Server::start(
+        test_verifier(&linked),
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 2,
+            read_timeout: Duration::from_secs(2),
+            ..test_config()
+        },
+    )
+    .expect("binds");
+    // A raw TCP peer that connects and never sends HELLO or RESUME. Its
+    // handshake completes before the client below connects, so the
+    // server accepts and queues it first.
+    let silent = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+
+    let waited = time_to_first_challenge(&quick_client(server.local_addr()), "prompt-0");
+    assert!(
+        waited < Duration::from_millis(500),
+        "a silent peer delayed another client's CHALLENGE by {waited:?}"
+    );
+
+    drop(silent);
+    server.shutdown();
+}
+
 /// The acceptance-criteria test: 8 concurrent clients mixing benign,
 /// attack, and malformed traffic; every client gets the correct typed
 /// verdict, the server drains cleanly, and the whole thing is
@@ -1080,7 +1167,7 @@ fn every_stage_span_carries_the_round_trace_id() {
             .collect();
         assert_eq!(
             stages,
-            ["accept", "dispatch", "shard_queue", "replay", "flush"],
+            ["accept", "opener", "replay", "flush"],
             "complete accept→verdict span tree in pipeline order"
         );
         for span in spans {
