@@ -27,6 +27,11 @@
 //! * `--enforce` exits non-zero unless pipelined throughput at 8
 //!   clients is at least [`MIN_PIPELINE_SPEEDUP_8`]× the oneshot
 //!   figure — the loopback target the connection rework is gated on.
+//!   Both medians come from [`GATE_SAMPLES`] samples of at least
+//!   [`GATE_MIN_ITERS`] iterations, in `--quick` too: with an even
+//!   sample count the median is the slower middle sample, and with a
+//!   couple of iterations per sample (oneshot_8 calibrates to about
+//!   two) one slow round moves it, so noise alone could fail the gate.
 //!
 //! A trailing pair of back-to-back pipelined_8 runs measures the
 //! telemetry plane: admin listener off vs. on with a 1/s scraper
@@ -52,6 +57,12 @@ const WINDOW: u16 = 8;
 /// The gate: minimum pipelined-over-oneshot throughput ratio at 8
 /// clients on loopback.
 const MIN_PIPELINE_SPEEDUP_8: f64 = 3.0;
+
+/// Timed samples per case: odd, so the median is the middle sample.
+const GATE_SAMPLES: usize = 5;
+
+/// Floor under the calibrated iterations per sample.
+const GATE_MIN_ITERS: u64 = 8;
 
 /// The telemetry gate: maximum pipelined-throughput regression at 8
 /// clients with the admin plane bound and scraped once per second.
@@ -217,7 +228,9 @@ fn main() {
     let rounds = if args.quick { 8 } else { ROUNDS_PER_CLIENT };
     let client_counts: &[usize] = if args.quick { &[1, 8] } else { &[1, 2, 4, 8] };
 
-    let group = BenchGroup::new("serve").samples(if args.quick { 2 } else { 3 });
+    let group = BenchGroup::new("serve")
+        .samples(GATE_SAMPLES)
+        .min_iters(GATE_MIN_ITERS);
     let mut report = BenchReport::default();
     let mut rows: Vec<(String, rap_bench::harness::Stats, f64, u64)> = Vec::new();
     for &clients in client_counts {

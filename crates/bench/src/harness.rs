@@ -195,6 +195,7 @@ fn fmt_duration(d: Duration) -> String {
 pub struct BenchGroup {
     name: String,
     samples: usize,
+    min_iters: u64,
     target_sample_time: Duration,
 }
 
@@ -204,6 +205,7 @@ impl BenchGroup {
         BenchGroup {
             name: name.to_owned(),
             samples: 10,
+            min_iters: 1,
             target_sample_time: Duration::from_millis(50),
         }
     }
@@ -211,6 +213,14 @@ impl BenchGroup {
     /// Overrides the number of timed samples.
     pub fn samples(mut self, samples: usize) -> BenchGroup {
         self.samples = samples.max(1);
+        self
+    }
+
+    /// Sets a floor under the calibrated iterations per sample, so a
+    /// case slower than the target sample time still averages several
+    /// runs per sample instead of one or two.
+    pub fn min_iters(mut self, min_iters: u64) -> BenchGroup {
+        self.min_iters = min_iters.max(1);
         self
     }
 
@@ -222,8 +232,9 @@ impl BenchGroup {
         let t0 = Instant::now();
         black_box(f());
         let once = t0.elapsed().max(Duration::from_nanos(1));
-        let iters =
+        let calibrated =
             (self.target_sample_time.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        let iters = calibrated.max(self.min_iters);
 
         let mut per_iter: Vec<Duration> = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
@@ -258,6 +269,16 @@ mod tests {
         assert!(stats.median <= stats.p95);
         assert!(stats.iters >= 1);
         assert!(stats.per_sec() > 0.0);
+    }
+
+    #[test]
+    fn min_iters_floors_the_calibration() {
+        let slow = || std::thread::sleep(Duration::from_millis(30));
+        let stats = BenchGroup::new("t")
+            .samples(1)
+            .min_iters(3)
+            .bench("slow", slow);
+        assert_eq!(stats.iters, 3, "a 30 ms case would calibrate to 1");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use rap_obs::Json;
 use rap_serve::{AdminClient, AttestClient, ClientConfig, Server, ServerConfig, StatsFormat};
 use rap_track::{
     decode_stream, device_key, encode_stream, BatchOptions, CfaEngine, Challenge, DictParams,
-    EngineConfig, FleetJob, SubPathDict, Verifier, VerifierStats,
+    EngineConfig, FleetJob, SessionError, SubPathDict, Verifier, VerifierStats,
 };
 
 /// A CLI-level failure, already formatted for the user.
@@ -232,9 +232,9 @@ pub fn cmd_attest(
 ///
 /// # Errors
 ///
-/// Only I/O-shaped failures (bad files) error out; a failed
-/// *verification* is reported in the returned verdict string with
-/// `ok == false`.
+/// Only I/O-shaped failures (bad files, a report stream that does not
+/// decode) error out; a failed *verification* is reported in the
+/// returned verdict string with `ok == false`.
 pub fn cmd_verify(
     image_bytes: &[u8],
     map_text: &str,
@@ -246,7 +246,6 @@ pub fn cmd_verify(
 ) -> Result<(bool, String, VerifierStats), CliError> {
     let image = Image::from_bytes(base, image_bytes.to_vec())?;
     let map = read_map(map_text)?;
-    let reports = decode_stream(report_bytes)?;
     let mut builder = Verifier::builder()
         .key(device_key(key_seed))
         .image(image)
@@ -259,7 +258,7 @@ pub fn cmd_verify(
     // line is a view of it, and the `sealed:` line is the identity an
     // audit log or fleet transition would cite.
     let (record, result) =
-        verifier.verify_record(key_seed, 0, Challenge::from_seed(chal_seed), &reports);
+        verifier.verify_record(key_seed, 0, Challenge::from_seed(chal_seed), report_bytes);
     let (ok, verdict) = match result {
         Ok(path) => (
             true,
@@ -269,7 +268,9 @@ pub fn cmd_verify(
                 path.steps
             ),
         ),
-        Err(v) => (false, format!("REJECTED: {v}")),
+        Err(SessionError::Wire(e)) => return Err(e.into()),
+        Err(SessionError::Verification(v)) => (false, format!("REJECTED: {v}")),
+        Err(e) => (false, format!("REJECTED: {e}")),
     };
     let verdict = format!("{verdict}\nsealed: {}", record.render());
     Ok((ok, verdict, verifier.stats()))

@@ -22,12 +22,13 @@
 use std::collections::VecDeque;
 
 use armv8m_isa::Image;
-use rap_crypto::hmac_sha256;
+use rap_crypto::HmacSha256;
 use rap_link::LinkMap;
 
 use crate::report::{Challenge, Key, Report};
-use crate::verdict::{stats_digest, VerdictDraft, VerdictRecord};
+use crate::verdict::VerdictRecord;
 use crate::verifier::{VerifiedPath, Verifier, Violation};
+use crate::wire::WireError;
 
 /// The Verifier's per-device session state.
 #[derive(Debug, Clone)]
@@ -39,7 +40,7 @@ pub struct VerifierSession {
     outstanding: VecDeque<Challenge>,
 }
 
-/// A session-level protocol failure.
+/// Why a response was not accepted.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches need a wildcard arm
 /// so new protocol failures can be added without a breaking change.
@@ -48,6 +49,8 @@ pub struct VerifierSession {
 pub enum SessionError {
     /// A response arrived with no outstanding request.
     NoOutstandingChallenge,
+    /// The response payload is not a canonical report stream.
+    Wire(WireError),
     /// Verification of the evidence failed.
     Verification(Violation),
 }
@@ -58,6 +61,7 @@ impl std::fmt::Display for SessionError {
             SessionError::NoOutstandingChallenge => {
                 write!(f, "response without an outstanding challenge")
             }
+            SessionError::Wire(w) => write!(f, "undecodable response: {w}"),
             SessionError::Verification(v) => write!(f, "verification failed: {v}"),
         }
     }
@@ -109,9 +113,11 @@ impl VerifierSession {
     /// oldest-first.
     pub fn issue_windowed_challenge(&mut self) -> Challenge {
         self.counter += 1;
-        let mut msg = self.session_secret.clone();
-        msg.extend_from_slice(&self.counter.to_le_bytes());
-        let chal = Challenge(hmac_sha256(b"RAP-TRACK-CHAL", &msg));
+        // HMAC(domain, secret ‖ counter), streamed: no message buffer.
+        let mut mac = HmacSha256::new(b"RAP-TRACK-CHAL");
+        mac.update(&self.session_secret);
+        mac.update(&self.counter.to_le_bytes());
+        let chal = Challenge(mac.finalize());
         self.outstanding.push_back(chal);
         chal
     }
@@ -154,55 +160,21 @@ impl VerifierSession {
             .map_err(SessionError::Verification)
     }
 
-    /// [`check_response`](VerifierSession::check_response), wrapped in
-    /// a sealed proof-carrying [`VerdictRecord`].
-    ///
-    /// The record binds `device`, the consumed challenge nonce (all
-    /// zero when the failure happened before a challenge was matched),
-    /// a hash of the judged report stream and this session's response
-    /// counter as the logical timestamp. Protocol failures seal as
-    /// rejections with kind `no-outstanding-challenge`; verification
-    /// failures carry the [`Violation`] kind. The plain result is
-    /// returned alongside so callers keep the old enum as a view of the
-    /// record.
+    /// Step 4 on the bytes received: decodes the ATTEST `payload`,
+    /// consumes the oldest outstanding challenge (even when the payload
+    /// does not decode), verifies and seals a [`VerdictRecord`]
+    /// binding `device`, that nonce (all zero when none was
+    /// outstanding), `sha256(payload)` and this session's response
+    /// counter. The plain result is returned alongside.
     pub fn check_response_record(
         &mut self,
         device: &str,
-        reports: &[Report],
+        payload: &[u8],
     ) -> (VerdictRecord, Result<VerifiedPath, SessionError>) {
-        let chal = self.outstanding.front().copied();
-        let result = self.check_response(reports);
-        let stats = self.verifier.stats();
-        let mut draft = VerdictDraft {
-            device: device.to_string(),
-            chal: chal.unwrap_or(Challenge([0u8; 32])),
-            report_hash: rap_crypto::sha256(&crate::wire::encode_stream(reports)),
-            stats_digest: stats_digest(&stats),
-            dict_hits: reports
-                .iter()
-                .map(|r| r.log.dict_hits.len() as u32)
-                .fold(0u32, u32::saturating_add),
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            seq: self.responses,
-            ..VerdictDraft::default()
-        };
-        match &result {
-            Ok(path) => {
-                draft.accepted = true;
-                draft.events = path.events.len() as u32;
-                draft.steps = path.steps;
-            }
-            Err(SessionError::NoOutstandingChallenge) => {
-                draft.kind = "no-outstanding-challenge".to_string();
-                draft.detail = SessionError::NoOutstandingChallenge.to_string();
-            }
-            Err(SessionError::Verification(v)) => {
-                draft.kind = v.kind().to_string();
-                draft.detail = v.to_string();
-            }
-        }
-        (self.verifier.seal_verdict(draft), result)
+        self.responses += 1;
+        let chal = self.outstanding.pop_front();
+        self.verifier
+            .judge_payload(device, self.responses, chal, payload)
     }
 
     /// Number of responses checked so far — the logical timestamp
@@ -275,6 +247,63 @@ mod tests {
         for _ in 0..100 {
             assert!(seen.insert(s.issue_challenge().0), "nonce repeated");
         }
+    }
+
+    #[test]
+    fn nonce_is_hmac_of_secret_and_counter() {
+        let linked = linked();
+        let mut s = session(&linked);
+        s.issue_windowed_challenge();
+        let second = s.issue_windowed_challenge();
+        let mut msg = b"session-secret".to_vec();
+        msg.extend_from_slice(&2u64.to_le_bytes());
+        assert_eq!(
+            second.0,
+            rap_crypto::hmac_sha256(b"RAP-TRACK-CHAL", &msg),
+            "nonce derivation must stay byte-identical"
+        );
+    }
+
+    #[test]
+    fn record_seals_the_payload_as_received() {
+        let linked = linked();
+        let mut s = session(&linked);
+        let chal = s.issue_windowed_challenge();
+        let payload = crate::wire::encode_stream(&respond(&linked, chal));
+        let (record, result) = s.check_response_record("dev", &payload);
+        assert!(result.is_ok() && record.accepted());
+        let f = &record.fields;
+        assert_eq!(f.report_hash, rap_crypto::sha256(&payload));
+        assert_eq!((f.chal, f.seq), (chal, 1));
+        // The counters are reserved: a warm verifier seals the same bytes.
+        assert_eq!(
+            (f.stats_digest, f.cache_hits, f.cache_misses),
+            ([0; 32], 0, 0)
+        );
+        assert!(record.authenticate(&s.verifier().verdict_seal_key()));
+    }
+
+    #[test]
+    fn undecodable_record_burns_the_challenge_without_a_job() {
+        let linked = linked();
+        let mut s = session(&linked);
+        let chal = s.issue_windowed_challenge();
+        let (record, result) = s.check_response_record("dev", b"garbage");
+        assert!(matches!(result, Err(SessionError::Wire(_))));
+        assert_eq!(record.fields.kind, "wire");
+        assert_eq!(record.fields.chal, chal);
+        assert_eq!(record.fields.report_hash, rap_crypto::sha256(b"garbage"));
+        assert_eq!(s.outstanding_count(), 0, "the challenge is consumed");
+        assert_eq!(s.verifier().stats().jobs, 0, "the verifier never ran");
+        // With nothing outstanding, a decodable response is a session
+        // failure sealed against the all-zero nonce.
+        let (record, result) = s.check_response_record("dev", &[]);
+        assert_eq!(result.unwrap_err(), SessionError::NoOutstandingChallenge);
+        assert_eq!(record.fields.kind, "no-outstanding-challenge");
+        assert_eq!(
+            (record.fields.chal, record.fields.seq),
+            (Challenge([0; 32]), 2)
+        );
     }
 
     #[test]

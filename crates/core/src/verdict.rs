@@ -2,14 +2,15 @@
 //!
 //! Every verification can be reduced to a [`VerdictRecord`]: a
 //! deterministic, byte-stable artifact binding the device id, the
-//! challenge nonce, a hash of the report stream, the verdict (with
-//! violation kind and detail on rejection), a digest of the replay
-//! stats snapshot, dictionary/cache provenance and a logical
-//! timestamp. The record is MAC'd with a key derived from the device
-//! key under a dedicated domain ([`verdict_seal_key`]), so downstream
-//! consumers — the audit chain, the fleet control plane, operators
-//! reading `rap audit show` — can re-check provenance instead of
-//! trusting the process that produced the verdict.
+//! challenge nonce, the SHA-256 of the report stream as received, the
+//! verdict (with violation kind and detail on rejection), the
+//! dictionary hits replayed and a logical timestamp; three fields are
+//! reserved and sealed as zero (DESIGN.md §16). The record is MAC'd
+//! with a key derived from the device key under a dedicated domain
+//! ([`verdict_seal_key`]), so downstream consumers — the audit chain,
+//! the fleet control plane, operators reading `rap audit show` — can
+//! re-check provenance instead of trusting the process that produced
+//! the verdict.
 //!
 //! Encoding follows the report wire codec's conventions: magic +
 //! version byte, little-endian fields, length-prefixed strings, typed
@@ -21,13 +22,13 @@
 //! flags  u8  bit0 = accepted
 //! seq    u64             logical timestamp
 //! chal   [u8; 32]
-//! rhash  [u8; 32]        sha256 of the encoded report stream
-//! stats  [u8; 32]        sha256 of the replay-stats snapshot
+//! rhash  [u8; 32]        sha256 of the report-stream payload as received
+//! stats  [u8; 32]        reserved, sealed as zero
 //! events u32
 //! steps  u64
 //! dhits  u32             dictionary hits replayed
-//! chits  u64             replay-cache hits (snapshot)
-//! cmiss  u64             replay-cache misses (snapshot)
+//! chits  u64             reserved, sealed as zero
+//! cmiss  u64             reserved, sealed as zero
 //! dev    u32 len + bytes (UTF-8)
 //! kind   u32 len + bytes (UTF-8, empty when accepted)
 //! detail u32 len + bytes (UTF-8, empty when accepted)
@@ -54,15 +55,13 @@ pub fn verdict_seal_key(device_key: &[u8]) -> Vec<u8> {
     hmac_sha256(device_key, KEY_DOMAIN).to_vec()
 }
 
-/// Digest of a [`VerifierStats`] snapshot, committed into each sealed
-/// record so the replay-work counters the operator saw cannot be
-/// silently rewritten later.
+/// Digest of a [`VerifierStats`] snapshot over its replay counters
+/// ([`VerifierStats::wall_ns`] excluded).
 ///
-/// Commits only to the *deterministic* replay counters —
-/// [`VerifierStats::wall_ns`] is wall-clock and deliberately excluded,
-/// so the same evidence replayed in the same order always seals to the
-/// same record hash (the fleet simulation's byte-for-byte determinism
-/// leans on this).
+/// Not sealed by the verifier: the counters are shared and
+/// cumulative, so a snapshot depends on other threads' work and on
+/// cache warmth. [`VerdictDraft::stats_digest`] is reserved (sealed as
+/// zero); this stays for tools that build drafts by hand.
 pub fn stats_digest(stats: &VerifierStats) -> Digest {
     let mut buf = [0u8; 40];
     buf[..8].copy_from_slice(&stats.cache_hits.to_le_bytes());
@@ -88,7 +87,8 @@ pub struct VerdictDraft {
     /// The challenge nonce this verdict answers (all-zero when the
     /// failure happened before a challenge was matched).
     pub chal: Challenge,
-    /// SHA-256 of the encoded report stream the verdict judged.
+    /// SHA-256 of the report-stream payload the verdict judged, as
+    /// received.
     pub report_hash: Digest,
     /// Whether the evidence was accepted.
     pub accepted: bool,
@@ -102,13 +102,13 @@ pub struct VerdictDraft {
     pub events: u32,
     /// Replay steps executed (0 on rejection).
     pub steps: u64,
-    /// Digest of the verifier's stats snapshot ([`stats_digest`]).
+    /// Reserved; the verifier seals it as zero (see [`stats_digest`]).
     pub stats_digest: Digest,
     /// Dictionary hits carried by the judged report stream.
     pub dict_hits: u32,
-    /// Replay-cache hits at the snapshot (provenance, not per-job).
+    /// Reserved; the verifier seals it as zero.
     pub cache_hits: u64,
-    /// Replay-cache misses at the snapshot.
+    /// Reserved; the verifier seals it as zero.
     pub cache_misses: u64,
     /// Logical timestamp: strictly increasing per producer (session
     /// response counter, serve round counter, …).

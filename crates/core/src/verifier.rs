@@ -22,7 +22,9 @@ use rap_link::{LinkMap, LoopPlanKind, SiteKind};
 
 use crate::dict::SubPathDict;
 use crate::policy::{PathPolicy, PolicyFinding};
+use crate::protocol::SessionError;
 use crate::report::{Challenge, Key, Report};
+use crate::verdict::{VerdictDraft, VerdictRecord};
 
 /// Iteration cap for replayed simple loops (anti-DoS bound on forged
 /// loop-condition records).
@@ -391,6 +393,8 @@ impl VerifiedPath {
 #[derive(Debug, Clone)]
 pub struct Verifier {
     key: Key,
+    /// [`crate::verdict_seal_key`] of `key`, derived once at build.
+    seal_key: Digest,
     image: Image,
     map: LinkMap,
     h_mem: Digest,
@@ -635,8 +639,11 @@ impl VerifierBuilder {
         let h_mem = sha256(image.bytes());
         let entry = image.base();
         let shared = Arc::new(Shared::new(&image));
+        let mut seal_key = [0u8; 32];
+        seal_key.copy_from_slice(&crate::verdict::verdict_seal_key(&key));
         Ok(Verifier {
             key,
+            seal_key,
             image,
             map,
             h_mem,
@@ -711,60 +718,76 @@ impl Verifier {
     }
 
     /// The domain-separated key this verifier seals
-    /// [`VerdictRecord`](crate::VerdictRecord)s with — hand it to an
-    /// offline audit-chain verifier to re-check record provenance.
+    /// [`VerdictRecord`]s with — hand it to an offline audit-chain
+    /// verifier to re-check record provenance.
     pub fn verdict_seal_key(&self) -> Key {
-        crate::verdict::verdict_seal_key(&self.key)
+        self.seal_key.to_vec()
     }
 
-    /// Seals an arbitrary [`VerdictDraft`](crate::VerdictDraft) under
-    /// this verifier's sealing key — the escape hatch for producers
-    /// that judge evidence before replay can run (wire decode
-    /// failures, session-protocol violations).
-    pub fn seal_verdict(&self, draft: crate::VerdictDraft) -> crate::VerdictRecord {
-        crate::VerdictRecord::seal(&self.verdict_seal_key(), draft)
+    /// Seals a hand-built [`VerdictDraft`] under this verifier's
+    /// sealing key; verification outcomes are sealed by
+    /// [`Verifier::verify_record`].
+    pub fn seal_verdict(&self, draft: VerdictDraft) -> VerdictRecord {
+        VerdictRecord::seal(&self.seal_key, draft)
     }
 
-    /// [`verify`](Verifier::verify), wrapped in a sealed
-    /// proof-carrying [`VerdictRecord`](crate::VerdictRecord).
-    ///
-    /// `device` and `seq` (a producer-local logical timestamp) are
-    /// bound into the record together with the challenge nonce, a hash
-    /// of the judged report stream, the outcome and a snapshot of the
-    /// replay counters. The plain result is returned alongside so
-    /// callers keep the old enum as a view of the record.
+    /// Decodes a report-stream `payload`, verifies it against `chal`
+    /// and seals the outcome, binding `device` and `seq` (a
+    /// producer-local logical timestamp). A payload that does not
+    /// decode seals as kind `wire` without running the verifier. The
+    /// plain result is returned alongside.
     pub fn verify_record(
         &self,
         device: &str,
         seq: u64,
         chal: Challenge,
-        reports: &[Report],
-    ) -> (crate::VerdictRecord, Result<VerifiedPath, Violation>) {
-        let result = self.verify(chal, reports);
-        let stats = self.stats();
-        let mut draft = crate::VerdictDraft {
+        payload: &[u8],
+    ) -> (VerdictRecord, Result<VerifiedPath, SessionError>) {
+        self.judge_payload(device, seq, Some(chal), payload)
+    }
+
+    /// The one place a verification outcome becomes a sealed record
+    /// (`chal` is `None` when nothing was outstanding). Every sealed
+    /// field comes from the arguments, never from [`Verifier::stats`].
+    pub(crate) fn judge_payload(
+        &self,
+        device: &str,
+        seq: u64,
+        chal: Option<Challenge>,
+        payload: &[u8],
+    ) -> (VerdictRecord, Result<VerifiedPath, SessionError>) {
+        let mut draft = VerdictDraft {
             device: device.to_string(),
-            chal,
-            report_hash: rap_crypto::sha256(&crate::wire::encode_stream(reports)),
-            stats_digest: crate::verdict::stats_digest(&stats),
-            dict_hits: reports
-                .iter()
-                .map(|r| r.log.dict_hits.len() as u32)
-                .fold(0u32, u32::saturating_add),
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
+            chal: chal.unwrap_or(Challenge([0u8; 32])),
+            report_hash: sha256(payload),
             seq,
-            ..crate::VerdictDraft::default()
+            ..VerdictDraft::default()
         };
+        let result = crate::wire::decode_stream(payload)
+            .map_err(SessionError::Wire)
+            .and_then(|reports| {
+                draft.dict_hits = reports
+                    .iter()
+                    .map(|r| r.log.dict_hits.len() as u32)
+                    .fold(0, u32::saturating_add);
+                let chal = chal.ok_or(SessionError::NoOutstandingChallenge)?;
+                self.verify(chal, &reports)
+                    .map_err(SessionError::Verification)
+            });
         match &result {
             Ok(path) => {
                 draft.accepted = true;
                 draft.events = path.events.len() as u32;
                 draft.steps = path.steps;
             }
-            Err(v) => {
-                draft.kind = v.kind().to_string();
-                draft.detail = v.to_string();
+            Err(e) => {
+                (draft.kind, draft.detail) = match e {
+                    SessionError::NoOutstandingChallenge => {
+                        ("no-outstanding-challenge".into(), e.to_string())
+                    }
+                    SessionError::Wire(w) => ("wire".into(), w.to_string()),
+                    SessionError::Verification(v) => (v.kind().into(), v.to_string()),
+                }
             }
         }
         (self.seal_verdict(draft), result)

@@ -25,6 +25,12 @@
 //!
 //! Frames concatenate to form a stream; [`decode_stream`] reads until
 //! the buffer is exhausted.
+//!
+//! Accepted encodings are canonical — every stream [`decode_stream`]
+//! accepts re-encodes to exactly the bytes received — so a sealed
+//! verdict can hash the payload as received. Hence two rules, each a
+//! typed [`WireError::NonCanonical`]: a version 2 frame carries at
+//! least one record, and the flags byte sets no bit but final/overflow.
 
 use trace_units::{SubPathHit, TraceEntry};
 
@@ -69,6 +75,12 @@ pub enum WireError {
         /// The kind byte found.
         kind: u8,
     },
+    /// A frame the encoder never writes: a flag bit other than
+    /// final/overflow, or a version 2 frame without records.
+    NonCanonical {
+        /// Byte offset of the offending field.
+        offset: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -79,6 +91,7 @@ impl std::fmt::Display for WireError {
             WireError::BadVersion { found } => write!(f, "unsupported wire version {found}"),
             WireError::BadCount { count } => write!(f, "implausible element count {count}"),
             WireError::BadRecordKind { kind } => write!(f, "unknown record kind {kind}"),
+            WireError::NonCanonical { offset } => write!(f, "non-canonical frame at byte {offset}"),
         }
     }
 }
@@ -182,6 +195,12 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<Report>, WireError> {
             return Err(WireError::BadVersion { found: version });
         }
         let flags = cur.u8()?;
+        // Only bit 0 (final) and bit 1 (overflow) are defined.
+        if flags > 0b11 {
+            return Err(WireError::NonCanonical {
+                offset: cur.pos - 1,
+            });
+        }
         let seq = cur.u32()?;
         let chal = Challenge(cur.arr32()?);
         let h_mem = cur.arr32()?;
@@ -206,6 +225,11 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<Report>, WireError> {
         let mut dict_hits = Vec::new();
         if version == VERSION_DICT {
             let nrec = cur.u32()?;
+            if nrec == 0 {
+                return Err(WireError::NonCanonical {
+                    offset: cur.pos - 4,
+                });
+            }
             if nrec as usize > bytes.len() / DICT_RECORD_BYTES + 1 {
                 return Err(WireError::BadCount { count: nrec });
             }
@@ -407,6 +431,48 @@ mod tests {
             decode_stream(&bytes),
             Err(WireError::BadCount { .. })
         ));
+    }
+
+    #[test]
+    fn v2_frame_without_records_is_non_canonical() {
+        // The encoder writes v1 for a report without hits, so a v2 frame
+        // declaring zero records is a second payload for the same report.
+        let r = &sample_reports()[1];
+        let v1 = encode_report(r);
+        let tag_at = v1.len() - 32;
+        let mut v2 = v1[..tag_at].to_vec();
+        v2[4] = VERSION_DICT;
+        v2.extend_from_slice(&0u32.to_le_bytes());
+        v2.extend_from_slice(&v1[tag_at..]);
+        assert_eq!(
+            decode_stream(&v2),
+            Err(WireError::NonCanonical { offset: tag_at })
+        );
+        assert_eq!(decode_stream(&v1).expect("v1 decodes"), vec![r.clone()]);
+    }
+
+    #[test]
+    fn unknown_flag_bits_are_non_canonical() {
+        let bytes = encode_stream(&sample_reports());
+        let second = encode_report(&sample_reports()[0]).len();
+        for bit in 2..8 {
+            for at in [5, second + 5] {
+                let mut bad = bytes.clone();
+                bad[at] |= 1 << bit;
+                assert_eq!(
+                    decode_stream(&bad),
+                    Err(WireError::NonCanonical { offset: at }),
+                    "flag bit {bit} at byte {at}"
+                );
+            }
+        }
+        // Every combination of the two defined bits stays accepted.
+        for flags in 0..4u8 {
+            let mut ok = bytes.clone();
+            ok[5] = flags;
+            let back = decode_stream(&ok).expect("defined flags decode");
+            assert_eq!(encode_stream(&back), ok);
+        }
     }
 
     #[test]

@@ -433,9 +433,17 @@ fn wire_error_name(e: &WireError) -> &'static str {
         WireError::BadVersion { .. } => "bad_version",
         WireError::BadCount { .. } => "bad_count",
         WireError::BadRecordKind { .. } => "bad_record_kind",
+        WireError::NonCanonical { .. } => "non_canonical",
         // `WireError` is `#[non_exhaustive]` upstream.
         _ => "other",
     }
+}
+
+fn non_canonical(mname: &str) -> CaseFailure {
+    CaseFailure::new(
+        "stream_safety",
+        format!("byte-level mutation `{mname}` decoded but does not re-encode to its bytes"),
+    )
 }
 
 fn stream_safety(
@@ -447,22 +455,26 @@ fn stream_safety(
     const O: &str = "stream_safety";
     let encoded = encode_stream(&p.reports);
 
-    // Byte level: keyless on-path corruption of the wire image.
+    // Byte level: keyless on-path corruption of the wire image. Every
+    // accepted mutation must be canonical — it re-encodes to exactly
+    // the bytes received — because a sealed verdict hashes the payload.
     for _ in 0..rounds {
         let (mutated, mname) = mutate_bytes(rng, &encoded);
         let verdict = catch_unwind(AssertUnwindSafe(|| match decode_stream(&mutated) {
-            Err(e) => wire_error_name(&e).to_string(),
-            Ok(reports) => match p.verifier.verify(p.chal, &reports) {
+            Err(e) => Ok(wire_error_name(&e).to_string()),
+            Ok(reports) if encode_stream(&reports) != mutated => Err(()),
+            Ok(reports) => Ok(match p.verifier.verify(p.chal, &reports) {
                 Ok(_) => "accept".to_string(),
                 Err(v) => v.kind().to_string(),
-            },
+            }),
         }))
         .map_err(|_| {
             CaseFailure::new(
                 O,
                 format!("panic while processing byte-level mutation `{mname}`"),
             )
-        })?;
+        })?
+        .map_err(|()| non_canonical(mname))?;
         *verdicts
             .entry(format!("byte:{mname}:{verdict}"))
             .or_default() += 1;
@@ -498,18 +510,20 @@ fn stream_safety(
     for _ in 0..rounds {
         let (mutated, mname) = mutate_bytes(rng, &dict_encoded);
         let verdict = catch_unwind(AssertUnwindSafe(|| match decode_stream(&mutated) {
-            Err(e) => wire_error_name(&e).to_string(),
-            Ok(reports) => match p.verifier_dict.verify(p.chal, &reports) {
+            Err(e) => Ok(wire_error_name(&e).to_string()),
+            Ok(reports) if encode_stream(&reports) != mutated => Err(()),
+            Ok(reports) => Ok(match p.verifier_dict.verify(p.chal, &reports) {
                 Ok(_) => "accept".to_string(),
                 Err(v) => v.kind().to_string(),
-            },
+            }),
         }))
         .map_err(|_| {
             CaseFailure::new(
                 O,
                 format!("panic while processing dict byte-level mutation `{mname}`"),
             )
-        })?;
+        })?
+        .map_err(|()| non_canonical(mname))?;
         *verdicts
             .entry(format!("dictbyte:{mname}:{verdict}"))
             .or_default() += 1;

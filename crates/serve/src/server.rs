@@ -47,11 +47,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rap_audit::AuditLog;
-use rap_crypto::{hmac_sha256, sha256};
+use rap_crypto::hmac_sha256;
 use rap_obs::{Json, RoundCollector, RoundExemplar, StageSpan};
-use rap_track::{
-    decode_stream, stats_digest, Challenge, VerdictDraft, VerdictRecord, Verifier, VerifierSession,
-};
+use rap_track::{VerdictRecord, Verifier, VerifierSession};
 
 use crate::frame::{
     decode_frame, decode_hello, decode_resume, decode_stats_request, encode_error, encode_frame,
@@ -140,7 +138,8 @@ pub struct ServerConfig {
     /// Payload-size cap applied before any allocation.
     pub max_frame_len: u32,
     /// Per-connection read deadline; also bounds how long a drain can
-    /// wait on an in-flight round.
+    /// wait on an in-flight round. The opener (`HELLO`/`RESUME`) gets
+    /// at most one second of it.
     pub read_timeout: Duration,
     /// Per-connection write deadline.
     pub write_timeout: Duration,
@@ -771,10 +770,17 @@ fn accept_loop(listener: TcpListener, queue: &ConnQueue, shared: &Shared) {
     }
 }
 
+/// How long a popped connection may take to send its opener. A worker
+/// is held while it waits, so `threads` silent peers would stall every
+/// new client for this long; a device sends its opener right after
+/// connecting, so one second is generous. Capped by
+/// [`ServerConfig::read_timeout`].
+const OPENER_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Reads a popped connection's opener (`HELLO` or `RESUME`) and
 /// validates its resumption token. A connection that closes first, or
-/// whose opener is bad, gets a typed `ERROR` where one applies and
-/// yields `None`.
+/// whose opener is bad or later than [`OPENER_TIMEOUT`], gets a typed
+/// `ERROR` where one applies and yields `None`.
 fn read_opener(shared: &Shared, conn: AcceptedConn) -> Option<PendingConn> {
     let config = &shared.config;
     let counters = &shared.counters;
@@ -794,7 +800,7 @@ fn read_opener(shared: &Shared, conn: AcceptedConn) -> Option<PendingConn> {
         );
         return None;
     }
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let _ = stream.set_read_timeout(Some(config.read_timeout.min(OPENER_TIMEOUT)));
     let frame = match read_frame(&mut stream, config.max_frame_len) {
         Ok(Some(frame)) => frame,
         Ok(None) => return None, // closed before the opener
@@ -1162,7 +1168,7 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
                         return;
                     }
                     let started = Instant::now();
-                    let record = verify_one(&mut session, &device, &frame.payload);
+                    let (record, _) = session.check_response_record(&device, &frame.payload);
                     let replay_ns = started.elapsed().as_nanos() as u64;
                     tick.latencies_ns.push(replay_ns);
                     let accepted = record.accepted();
@@ -1300,36 +1306,6 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
             }
             Err(_) => return,
         }
-    }
-}
-
-/// Verifies one ATTEST payload, sealing the outcome as a
-/// proof-carrying [`VerdictRecord`] (the wire `VERDICT` frame is
-/// derived from it via [`Verdict::from_record`]).
-fn verify_one(session: &mut VerifierSession, device: &str, payload: &[u8]) -> VerdictRecord {
-    match decode_stream(payload) {
-        Err(wire) => {
-            // A malformed stream still consumes the front challenge —
-            // a device does not get a second try against a nonce by
-            // sending garbage first. The sealed record binds the nonce
-            // it burned and a hash of the raw payload.
-            let chal = session.outstanding();
-            let _ = session.check_response(&[]);
-            let stats = session.verifier().stats();
-            session.verifier().seal_verdict(VerdictDraft {
-                device: device.to_string(),
-                chal: chal.unwrap_or(Challenge([0u8; 32])),
-                report_hash: sha256(payload),
-                stats_digest: stats_digest(&stats),
-                cache_hits: stats.cache_hits,
-                cache_misses: stats.cache_misses,
-                kind: "wire".to_string(),
-                detail: wire.to_string(),
-                seq: session.responses_checked(),
-                ..VerdictDraft::default()
-            })
-        }
-        Ok(reports) => session.check_response_record(device, &reports).0,
     }
 }
 

@@ -218,15 +218,21 @@ fn nonces_are_unique_across_connections() {
 #[test]
 fn malformed_attest_payload_gets_rejected_verdict() {
     let (linked, _w) = deployed();
-    let server =
-        Server::start(test_verifier(&linked), "127.0.0.1:0", test_config()).expect("binds");
+    let verifier = test_verifier(&linked);
+    let sink = RecordSink::default();
+    let config = ServerConfig {
+        round_hook: Some(recording_hook(&sink)),
+        ..test_config()
+    };
+    let server = Server::start(verifier.clone(), "127.0.0.1:0", config).expect("binds");
     let client = quick_client(server.local_addr());
 
     let mut conn = client.open("garbler").expect("opens");
-    let (ft, _chal) = conn.read_next().expect("challenge arrives");
+    let (ft, chal) = conn.read_next().expect("challenge arrives");
     assert_eq!(ft, FrameType::Challenge);
     // A well-formed frame whose payload is not a report stream.
-    conn.send_raw(&encode_frame(FrameType::Attest, b"not a report stream"))
+    let payload = b"not a report stream";
+    conn.send_raw(&encode_frame(FrameType::Attest, payload))
         .expect("writes");
     match conn.read_next().expect("verdict arrives") {
         (FrameType::Verdict, payload) => {
@@ -237,6 +243,22 @@ fn malformed_attest_payload_gets_rejected_verdict() {
         other => panic!("expected verdict, got {other:?}"),
     }
     server.shutdown();
+
+    // The sealed record binds the burned nonce and the bytes received,
+    // and the payload never reached the verifier.
+    let records = sink.lock().unwrap();
+    let [(_, record)] = &records[..] else {
+        panic!("one sealed record per ATTEST, got {}", records.len());
+    };
+    assert_eq!(record.fields.kind, "wire");
+    assert_eq!(&record.fields.chal.0[..], &chal[..]);
+    assert_eq!(record.fields.report_hash, rap_crypto::sha256(payload));
+    assert!(record.authenticate(&verifier.verdict_seal_key()));
+    assert_eq!(
+        verifier.stats().jobs,
+        0,
+        "a garbage ATTEST is no verifier job"
+    );
 }
 
 #[test]
@@ -445,6 +467,34 @@ fn silent_opener_does_not_delay_other_clients() {
     assert!(
         waited < Duration::from_millis(500),
         "a silent peer delayed another client's CHALLENGE by {waited:?}"
+    );
+
+    drop(silent);
+    server.shutdown();
+}
+
+#[test]
+fn silent_peers_release_their_workers_at_the_opener_deadline() {
+    let (linked, _w) = deployed();
+    let config = ServerConfig {
+        threads: 2,
+        ..test_config()
+    };
+    assert_eq!(
+        config.read_timeout,
+        Duration::from_secs(5),
+        "default deadline"
+    );
+    let server = Server::start(test_verifier(&linked), "127.0.0.1:0", config).expect("binds");
+    // Two raw TCP peers that never send HELLO or RESUME: one per worker.
+    let silent: Vec<_> = (0..2)
+        .map(|_| std::net::TcpStream::connect(server.local_addr()).expect("connects"))
+        .collect();
+
+    let waited = time_to_first_challenge(&quick_client(server.local_addr()), "behind-silent");
+    assert!(
+        waited < Duration::from_secs(2),
+        "two silent peers held both workers for {waited:?}"
     );
 
     drop(silent);
@@ -1411,22 +1461,27 @@ fn audit_tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// Every sealed record a [`recording_hook`] saw, with its device.
+type RecordSink = std::sync::Arc<std::sync::Mutex<Vec<(String, rap_track::VerdictRecord)>>>;
+
+fn recording_hook(sink: &RecordSink) -> rap_serve::RoundHook {
+    let sink = std::sync::Arc::clone(sink);
+    rap_serve::RoundHook::new(move |event| {
+        if let rap_serve::RoundEvent::Verdict { device, record } = event {
+            sink.lock().unwrap().push((device.clone(), record.clone()));
+        }
+    })
+}
+
 #[test]
 fn round_hook_delivers_sealed_records_matching_wire_verdicts() {
     let (linked, w) = deployed();
     let verifier = test_verifier(&linked);
     let seal_key = verifier.verdict_seal_key();
 
-    let seen: std::sync::Arc<std::sync::Mutex<Vec<(String, rap_track::VerdictRecord)>>> =
-        std::sync::Arc::default();
-    let sink = std::sync::Arc::clone(&seen);
+    let seen = RecordSink::default();
     let config = ServerConfig {
-        round_hook: Some(rap_serve::RoundHook::new(move |event| {
-            let rap_serve::RoundEvent::Verdict { device, record } = event else {
-                return;
-            };
-            sink.lock().unwrap().push((device.clone(), record.clone()));
-        })),
+        round_hook: Some(recording_hook(&seen)),
         ..test_config()
     };
     let server = Server::start(verifier, "127.0.0.1:0", config).expect("binds");
@@ -1454,6 +1509,150 @@ fn round_hook_delivers_sealed_records_matching_wire_verdicts() {
     assert_eq!(rap_serve::Verdict::from_record(&seen[0].1), ok);
     assert_eq!(rap_serve::Verdict::from_record(&seen[1].1), bad);
     assert!(seen[0].1.accepted() && !seen[1].1.accepted());
+}
+
+/// How a scripted device answers one round.
+#[derive(Clone, Copy)]
+enum Answer {
+    Benign,
+    Forged,
+    Dict,
+}
+
+/// Each device's rounds, in order: benign, forged and
+/// dictionary-compressed evidence, alone and mixed on one connection.
+const SCRIPT: [(&str, &[Answer]); 4] = [
+    (
+        "det-benign",
+        &[Answer::Benign, Answer::Benign, Answer::Benign],
+    ),
+    ("det-mixed", &[Answer::Benign, Answer::Forged, Answer::Dict]),
+    ("det-forged", &[Answer::Forged, Answer::Forged]),
+    ("det-dict", &[Answer::Dict, Answer::Dict, Answer::Benign]),
+];
+
+/// Serves [`SCRIPT`] on a fresh server and returns each device's sealed
+/// records in round order. Connections open one after another, so
+/// every run hands out the same connection ids and hence the same
+/// nonces; with `concurrent` their rounds then run in parallel.
+fn serve_script(
+    verifier: Verifier,
+    threads: usize,
+    concurrent: bool,
+    answer: &(dyn Fn(Answer, Challenge) -> Vec<Report> + Sync),
+) -> std::collections::BTreeMap<String, Vec<rap_track::VerdictRecord>> {
+    let sink = RecordSink::default();
+    let config = ServerConfig {
+        threads,
+        round_hook: Some(recording_hook(&sink)),
+        ..test_config()
+    };
+    let server = Server::start(verifier, "127.0.0.1:0", config).expect("binds");
+    let client = quick_client(server.local_addr());
+    let conns: Vec<_> = SCRIPT
+        .iter()
+        .map(|(device, _)| client.open(device).expect("opens"))
+        .collect();
+    let play = |(mut conn, (device, rounds)): (rap_serve::Connection, &(&str, &[Answer]))| {
+        for &a in *rounds {
+            let verdict = conn.round(|chal| answer(a, chal)).expect("round");
+            let expect_ok = !matches!(a, Answer::Forged);
+            assert_eq!(verdict.accepted, expect_ok, "{device}: {verdict:?}");
+        }
+        conn.close();
+    };
+    if concurrent {
+        std::thread::scope(|scope| {
+            for job in conns.into_iter().zip(SCRIPT.iter()) {
+                scope.spawn(move || play(job));
+            }
+        });
+    } else {
+        conns.into_iter().zip(SCRIPT.iter()).for_each(play);
+    }
+    server.shutdown();
+
+    let mut by_device = std::collections::BTreeMap::<_, Vec<_>>::new();
+    for (device, record) in sink.lock().unwrap().drain(..) {
+        by_device.entry(device).or_default().push(record);
+    }
+    by_device
+}
+
+#[test]
+fn sealed_records_do_not_depend_on_workers_or_cache_warmth() {
+    let (linked, w) = deployed();
+    let benign = respond_benign(&linked, &w);
+    let forged = respond_forged(&linked, &w);
+    let attest = |engine: &CfaEngine, chal| {
+        let mut machine = mcu_sim::Machine::new(linked.image.clone());
+        (w.attach)(&mut machine);
+        let config = EngineConfig {
+            max_instrs: w.max_instrs * 2,
+            watermark: Some(256),
+        };
+        engine
+            .attest(&mut machine, &linked.map, chal, config)
+            .expect("attestation runs")
+    };
+    let profile = attest(&CfaEngine::new(test_key()), Challenge::from_seed(0));
+    let dict = rap_track::SubPathDict::mine(
+        &profile.combined_log(),
+        profile.reports[0].h_mem,
+        w.name,
+        rap_track::DictParams::default(),
+    );
+    let dict_engine = CfaEngine::new(test_key()).with_dict(dict.entries().to_vec());
+    let answer = |a: Answer, chal: Challenge| match a {
+        Answer::Benign => benign(chal),
+        Answer::Forged => forged(chal),
+        Answer::Dict => attest(&dict_engine, chal).reports,
+    };
+    let verifier = || {
+        Verifier::builder()
+            .key(test_key())
+            .image(linked.image.clone())
+            .map(linked.map.clone())
+            .dict(dict.clone())
+            .build()
+            .expect("all builder fields set")
+    };
+
+    let one_worker = serve_script(verifier(), 1, false, &answer);
+    let four_workers = serve_script(verifier(), 4, true, &answer);
+    let warm = verifier();
+    for a in [Answer::Benign, Answer::Dict, Answer::Benign, Answer::Dict] {
+        let chal = Challenge::from_seed(1);
+        warm.verify(chal, &answer(a, chal))
+            .expect("warm-up verifies");
+    }
+    assert!(warm.stats().cache_hits > 0, "the warm-up filled the table");
+    let prewarmed = serve_script(warm, 1, false, &answer);
+
+    for (device, rounds) in SCRIPT {
+        let records = &one_worker[device];
+        assert_eq!(
+            records.len(),
+            rounds.len(),
+            "{device}: one record per round"
+        );
+        for (run, other) in [("4 workers", &four_workers), ("pre-warmed", &prewarmed)] {
+            assert_eq!(other[device].len(), records.len(), "{device}: {run}");
+            for (i, (a, b)) in records.iter().zip(&other[device]).enumerate() {
+                // Fields first, for a readable diff; then the sealed bytes.
+                assert_eq!(
+                    b.fields, a.fields,
+                    "{device} round {i}: {run} vs 1 cold worker"
+                );
+                assert_eq!(b.encode(), a.encode(), "{device} round {i}: {run}");
+            }
+        }
+    }
+    let dict_hits: u32 = one_worker["det-dict"]
+        .iter()
+        .map(|r| r.fields.dict_hits)
+        .sum();
+    assert!(dict_hits > 0, "the dictionary device sends dictionary hits");
 }
 
 #[test]
