@@ -11,7 +11,7 @@
 
 use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport};
 use rap_link::{link, LinkOptions};
-use rap_track::{device_key, BatchOptions, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
+use rap_track::{device_key, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
 
 /// Devices simulated per workload.
 const FLEET_PER_WORKLOAD: usize = 24;
@@ -79,9 +79,7 @@ fn run_fleet(deployments: &[Deployment], threads: usize) -> usize {
             .map(d.map.clone())
             .build()
             .expect("key/image/map are all set");
-        let outcomes = verifier
-            .fleet(BatchOptions::with_threads(threads))
-            .run(d.jobs.clone());
+        let outcomes = verifier.fleet(threads).run(d.jobs.clone());
         assert!(
             outcomes.iter().all(|o| o.accepted()),
             "benign fleet must verify"
@@ -120,7 +118,7 @@ fn main() {
         .build()
         .expect("key/image/map are all set");
     let _ = verifier
-        .fleet(BatchOptions::default())
+        .fleet(std::thread::available_parallelism().map_or(1, |n| n.get()))
         .run(probe.jobs.clone());
     let stats = verifier.stats();
     println!(

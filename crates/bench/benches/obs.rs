@@ -15,7 +15,7 @@
 
 use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport};
 use rap_link::{link, LinkOptions};
-use rap_track::{device_key, BatchOptions, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
+use rap_track::{device_key, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
 
 /// Events recorded per micro-bench iteration (amortizes loop overhead).
 const EVENTS_PER_ITER: u64 = 1024;
@@ -72,9 +72,7 @@ fn run(d: &Deployment, threads: usize) -> usize {
         .map(d.map.clone())
         .build()
         .expect("key/image/map are all set");
-    let outcomes = verifier
-        .fleet(BatchOptions::with_threads(threads))
-        .run(d.jobs.clone());
+    let outcomes = verifier.fleet(threads).run(d.jobs.clone());
     assert!(outcomes.iter().all(|o| o.accepted()), "fleet must verify");
     outcomes.len()
 }

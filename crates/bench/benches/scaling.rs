@@ -24,7 +24,7 @@
 use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport};
 use rap_link::{link, LinkOptions};
 use rap_obs::Json;
-use rap_track::{device_key, BatchOptions, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
+use rap_track::{device_key, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
 
 /// Devices simulated per workload (full mode).
 const FLEET_PER_WORKLOAD: usize = 16;
@@ -90,9 +90,7 @@ fn run_fleet(deployments: &[Deployment], threads: usize) {
             .map(d.map.clone())
             .build()
             .expect("key/image/map are all set");
-        let outcomes = verifier
-            .fleet(BatchOptions::with_threads(threads))
-            .run(d.jobs.clone());
+        let outcomes = verifier.fleet(threads).run(d.jobs.clone());
         assert!(
             outcomes.iter().all(|o| o.accepted()),
             "benign fleet must verify"

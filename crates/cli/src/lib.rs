@@ -30,8 +30,8 @@ use rap_link::{link, read_map, write_map, ClassifyOptions, LinkOptions, Transfor
 use rap_obs::Json;
 use rap_serve::{AdminClient, AttestClient, ClientConfig, Server, ServerConfig, StatsFormat};
 use rap_track::{
-    decode_stream, device_key, encode_stream, BatchOptions, CfaEngine, Challenge, DictParams,
-    EngineConfig, FleetJob, SessionError, SubPathDict, Verifier, VerifierStats,
+    decode_stream, device_key, encode_stream, CfaEngine, Challenge, DictParams, EngineConfig,
+    FleetJob, SessionError, SubPathDict, Verifier, VerifierStats,
 };
 
 /// A CLI-level failure, already formatted for the user.
@@ -330,13 +330,11 @@ pub fn cmd_verify_fleet(
     let verifier = builder.build()?;
     // What the pool will actually run with (threads clamp to the job
     // count) — reported in the verdict, and recorded by `Fleet::run`
-    // itself in the `fleet_effective_threads` / `fleet_chunk_size`
-    // gauges so a `--metrics` capture carries it too.
-    let (eff_threads, chunk) = rap_track::effective_batch_config(jobs.len(), threads);
+    // itself in the `fleet_effective_threads` gauge so a `--metrics`
+    // capture carries it too.
+    let eff_threads = rap_track::effective_threads(jobs.len(), threads);
     let start = std::time::Instant::now();
-    let outcomes = verifier
-        .fleet(BatchOptions::with_threads(threads))
-        .run(jobs);
+    let outcomes = verifier.fleet(threads).run(jobs);
     let wall = start.elapsed();
 
     let mut out = String::new();
@@ -371,7 +369,7 @@ pub fn cmd_verify_fleet(
     };
     let _ = writeln!(
         out,
-        "{accepted}/{} accepted in {wall:.1?} ({per_sec:.0} streams/sec, {eff_threads} threads, chunk {chunk})",
+        "{accepted}/{} accepted in {wall:.1?} ({per_sec:.0} streams/sec, {eff_threads} threads)",
         outcomes.len()
     );
     let _ = writeln!(
@@ -1530,10 +1528,9 @@ skip:
         let (ok, verdict, _) =
             cmd_verify_fleet(&img, &map_text, &streams, 0, 7, "cli-test", 8, None).expect("runs");
         assert!(ok, "{verdict}");
-        assert!(verdict.contains("1 threads, chunk 1"), "{verdict}");
+        assert!(verdict.contains("1 threads)"), "{verdict}");
         let snap = rap_obs::global().snapshot();
         assert_eq!(snap.gauge("fleet_effective_threads"), 1);
-        assert_eq!(snap.gauge("fleet_chunk_size"), 1);
     }
 
     #[test]

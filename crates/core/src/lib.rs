@@ -59,7 +59,7 @@ mod verdict;
 mod verifier;
 mod wire;
 
-pub use batch::{effective_batch_config, BatchOptions, Fleet, FleetJob, JobOutcome};
+pub use batch::{effective_threads, Fleet, FleetJob, JobOutcome};
 pub use dict::{DictFormatError, DictParams, SubPathDict};
 pub use engine::{Attestation, CfaEngine, EngineConfig};
 pub use error::Error;
@@ -81,7 +81,7 @@ pub use wire::{decode_stream, encode_report, encode_stream, WireError};
 /// use rap_track::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::batch::{BatchOptions, Fleet, FleetJob, JobOutcome};
+    pub use crate::batch::{Fleet, FleetJob, JobOutcome};
     pub use crate::dict::{DictParams, SubPathDict};
     pub use crate::engine::{Attestation, CfaEngine, EngineConfig};
     pub use crate::error::Error;

@@ -386,12 +386,27 @@ impl VerifiedPath {
 
 /// The Verifier for one deployed application.
 ///
-/// Cloning is cheap where it matters: clones share the segment table
-/// and its [counters](Verifier::stats), so a fleet of worker threads
-/// (or repeated sessions for many devices running the same binary) all
-/// benefit from stretches decoded once.
+/// A `Verifier` is one reference-counted handle: a clone bumps a count
+/// and allocates nothing, and every clone shares the segment table, the
+/// dictionary macro cache and the [counters](Verifier::stats). A fleet
+/// of worker threads (or one session per device running the same
+/// binary) therefore decodes each deterministic stretch once.
 #[derive(Debug, Clone)]
 pub struct Verifier {
+    inner: Arc<Inner>,
+}
+
+/// Macro-cache map: `(entry id, span entry PC)` → recorded variants.
+type MacroMap = RwLock<HashMap<(u32, u32), Vec<Arc<DictMacro>>>>;
+
+/// Everything a [`Verifier`] owns, behind its one `Arc`.
+///
+/// The counters are cache-line padded so a worker updating one never
+/// invalidates its neighbours' lines, and they are only touched by
+/// [`Verifier::commit_tally`] — once per job, never from inside the
+/// replay loop.
+#[derive(Debug)]
+struct Inner {
     key: Key,
     /// [`crate::verdict_seal_key`] of `key`, derived once at build.
     seal_key: Digest,
@@ -400,23 +415,9 @@ pub struct Verifier {
     h_mem: Digest,
     entry: u32,
     /// Replay step budget.
-    pub max_steps: u64,
-    policy: Option<Arc<PathPolicy>>,
-    dict: Option<Arc<SubPathDict>>,
-    shared: Arc<Shared>,
-}
-
-/// Macro-cache map: `(entry id, span entry PC)` → recorded variants.
-type MacroMap = RwLock<HashMap<(u32, u32), Vec<Arc<DictMacro>>>>;
-
-/// Segment table + counters shared by all clones of one [`Verifier`].
-///
-/// The counters are cache-line padded so a worker updating one never
-/// invalidates its neighbours' lines, and they are only touched by
-/// [`Verifier::commit_tally`] — once per job (or once per worker in the
-/// batch layer), never from inside the replay loop.
-#[derive(Debug)]
-struct Shared {
+    max_steps: u64,
+    policy: Option<PathPolicy>,
+    dict: Option<SubPathDict>,
     /// One slot per halfword of `[image.base(), image.end())`: slot `i`
     /// holds the deterministic stretch entered at `base + 2 * i`, built
     /// by the first lookup that reaches it (see
@@ -438,32 +439,13 @@ struct Shared {
     wall_ns: CachePadded<AtomicU64>,
 }
 
-impl Shared {
-    /// Empty slots for every halfword of `image`; nothing is built yet.
-    fn new(image: &Image) -> Shared {
-        let slots = (image.end() - image.base()) / 2;
-        Shared {
-            segments: (0..slots).map(|_| OnceLock::new()).collect(),
-            dict_macros: RwLock::new(HashMap::new()),
-            hits: CachePadded::default(),
-            misses: CachePadded::default(),
-            cached_steps: CachePadded::default(),
-            live_steps: CachePadded::default(),
-            jobs: CachePadded::default(),
-            wall_ns: CachePadded::default(),
-        }
-    }
-}
-
-/// Plain-integer verification tallies, accumulated lock-free on the
+/// Plain-integer tallies for one verification job, accumulated on the
 /// stack of whoever drives the replay and published to the shared
 /// [`VerifierStats`](crate::VerifierStats) atomics and the `rap-obs`
-/// registry in one [`Verifier::commit_tally`] call. `verify` commits
-/// per job; the batch worker pool accumulates one tally per *worker*
-/// and commits at join, so the replay hot loop touches no shared
-/// cache line at all.
+/// registry in one [`Verifier::commit_tally`] call, so the replay hot
+/// loop touches no shared cache line at all.
 #[derive(Debug, Default)]
-pub(crate) struct StatsTally {
+struct StatsTally {
     cache_hits: u64,
     /// Lookups that built their table slot — one per segment built.
     cache_misses: u64,
@@ -478,38 +460,8 @@ pub(crate) struct StatsTally {
     wall_ns: u64,
     accepted: u64,
     rejected: u64,
-    /// Violation counts by kind; at most a handful of kinds per tally,
-    /// so a linear-scan vec beats a map.
-    violations: Vec<(&'static str, u64)>,
-}
-
-impl StatsTally {
-    fn note_violation(&mut self, kind: &'static str) {
-        match self.violations.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, n)) => *n += 1,
-            None => self.violations.push((kind, 1)),
-        }
-    }
-
-    fn merge(&mut self, other: StatsTally) {
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cached_steps += other.cached_steps;
-        self.live_steps += other.live_steps;
-        self.rewinds += other.rewinds;
-        self.checkpoints += other.checkpoints;
-        self.dict_bulk_applies += other.dict_bulk_applies;
-        self.jobs += other.jobs;
-        self.wall_ns += other.wall_ns;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        for (kind, n) in other.violations {
-            match self.violations.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, have)) => *have += n,
-                None => self.violations.push((kind, n)),
-            }
-        }
-    }
+    /// The kind of the job's violation, if it was rejected.
+    violation: Option<&'static str>,
 }
 
 /// A memoized deterministic stretch of replay: the instruction walk
@@ -636,26 +588,34 @@ impl VerifierBuilder {
         let key = self.key.ok_or(BuildError { missing: "key" })?;
         let image = self.image.ok_or(BuildError { missing: "image" })?;
         let map = self.map.ok_or(BuildError { missing: "map" })?;
-        let h_mem = sha256(image.bytes());
-        let entry = image.base();
-        let shared = Arc::new(Shared::new(&image));
         let mut seal_key = [0u8; 32];
         seal_key.copy_from_slice(&crate::verdict::verdict_seal_key(&key));
-        Ok(Verifier {
+        let slots = (image.end() - image.base()) / 2;
+        let inner = Inner {
             key,
             seal_key,
+            h_mem: sha256(image.bytes()),
+            entry: image.base(),
             image,
             map,
-            h_mem,
-            entry,
             max_steps: if self.max_steps == 0 {
                 100_000_000
             } else {
                 self.max_steps
             },
-            policy: self.policy.map(Arc::new),
-            dict: self.dict.map(Arc::new),
-            shared,
+            policy: self.policy,
+            dict: self.dict,
+            segments: (0..slots).map(|_| OnceLock::new()).collect(),
+            dict_macros: RwLock::new(HashMap::new()),
+            hits: CachePadded::default(),
+            misses: CachePadded::default(),
+            cached_steps: CachePadded::default(),
+            live_steps: CachePadded::default(),
+            jobs: CachePadded::default(),
+            wall_ns: CachePadded::default(),
+        };
+        Ok(Verifier {
+            inner: Arc::new(inner),
         })
     }
 }
@@ -680,40 +640,38 @@ impl Verifier {
 
     /// The expected `H_MEM` of the deployed binary.
     pub fn expected_h_mem(&self) -> Digest {
-        self.h_mem
+        self.inner.h_mem
     }
 
     /// The [`PathPolicy`] configured at build time, if any.
     pub fn policy(&self) -> Option<&PathPolicy> {
-        self.policy.as_deref()
+        self.inner.policy.as_ref()
     }
 
     /// The [`SubPathDict`] configured at build time, if any.
     pub fn dict(&self) -> Option<&SubPathDict> {
-        self.dict.as_deref()
+        self.inner.dict.as_ref()
     }
 
     /// Evaluates the configured policy over an accepted path; an empty
     /// result means compliance (and is always returned when no policy
     /// was configured).
     pub fn check_policy(&self, path: &VerifiedPath) -> Vec<PolicyFinding> {
-        self.policy
-            .as_deref()
-            .map(|p| p.check(path))
-            .unwrap_or_default()
+        self.policy().map(|p| p.check(path)).unwrap_or_default()
     }
 
     /// A snapshot of the verifier-side counters: segment-table
     /// effectiveness and verification work done so far (across all
     /// clones sharing this verifier's table).
     pub fn stats(&self) -> crate::VerifierStats {
+        let inner = &self.inner;
         crate::VerifierStats {
-            cache_hits: self.shared.hits.load(Ordering::Relaxed),
-            cache_misses: self.shared.misses.load(Ordering::Relaxed),
-            cached_steps: self.shared.cached_steps.load(Ordering::Relaxed),
-            live_steps: self.shared.live_steps.load(Ordering::Relaxed),
-            jobs: self.shared.jobs.load(Ordering::Relaxed),
-            wall_ns: self.shared.wall_ns.load(Ordering::Relaxed),
+            cache_hits: inner.hits.load(Ordering::Relaxed),
+            cache_misses: inner.misses.load(Ordering::Relaxed),
+            cached_steps: inner.cached_steps.load(Ordering::Relaxed),
+            live_steps: inner.live_steps.load(Ordering::Relaxed),
+            jobs: inner.jobs.load(Ordering::Relaxed),
+            wall_ns: inner.wall_ns.load(Ordering::Relaxed),
         }
     }
 
@@ -721,14 +679,14 @@ impl Verifier {
     /// [`VerdictRecord`]s with — hand it to an offline audit-chain
     /// verifier to re-check record provenance.
     pub fn verdict_seal_key(&self) -> Key {
-        self.seal_key.to_vec()
+        self.inner.seal_key.to_vec()
     }
 
     /// Seals a hand-built [`VerdictDraft`] under this verifier's
     /// sealing key; verification outcomes are sealed by
     /// [`Verifier::verify_record`].
     pub fn seal_verdict(&self, draft: VerdictDraft) -> VerdictRecord {
-        VerdictRecord::seal(&self.seal_key, draft)
+        VerdictRecord::seal(&self.inner.seal_key, draft)
     }
 
     /// Decodes a report-stream `payload`, verifies it against `chal`
@@ -801,59 +759,42 @@ impl Verifier {
     /// Returns the first [`Violation`] encountered — authentication
     /// failures first, then replay divergences.
     pub fn verify(&self, chal: Challenge, reports: &[Report]) -> Result<VerifiedPath, Violation> {
-        let mut tally = StatsTally::default();
-        let result = self.verify_tallied(chal, reports, &mut tally);
+        let start = Instant::now();
+        let _job_span = rap_obs::span("verify_job");
+        let (result, mut tally) = match self.begin(chal, reports) {
+            Ok(session) => session.run_tallied(),
+            Err(v) => (Err(v), StatsTally::default()),
+        };
+        tally.jobs = 1;
+        tally.wall_ns = start.elapsed().as_nanos() as u64;
+        match &result {
+            Ok(_) => tally.accepted = 1,
+            Err(v) => {
+                tally.rejected = 1;
+                tally.violation = Some(v.kind());
+            }
+        }
         self.commit_tally(&tally);
         result
     }
 
-    /// [`verify`](Verifier::verify) with deferred accounting: every
-    /// counter the job would have bumped lands in `tally` instead of
-    /// the shared atomics / the global registry. The caller owns the
-    /// publication schedule — the batch worker pool passes one tally
-    /// through all of a worker's jobs and commits once at join, so
-    /// workers never write a shared cache line while jobs are live.
-    pub(crate) fn verify_tallied(
-        &self,
-        chal: Challenge,
-        reports: &[Report],
-        tally: &mut StatsTally,
-    ) -> Result<VerifiedPath, Violation> {
-        let start = Instant::now();
-        let _job_span = rap_obs::span("verify_job");
-        let result = match self.begin(chal, reports) {
-            Ok(session) => session.run_into(tally),
-            Err(v) => Err(v),
-        };
-        tally.jobs += 1;
-        tally.wall_ns += start.elapsed().as_nanos() as u64;
-        match &result {
-            Ok(_) => tally.accepted += 1,
-            Err(v) => {
-                tally.rejected += 1;
-                tally.note_violation(v.kind());
-            }
-        }
-        result
-    }
-
-    /// Publishes an accumulated [`StatsTally`]: one relaxed add per
-    /// shared counter and per registry metric, regardless of how many
-    /// jobs or replay steps the tally covers.
-    pub(crate) fn commit_tally(&self, tally: &StatsTally) {
-        let shared = &self.shared;
-        shared.hits.fetch_add(tally.cache_hits, Ordering::Relaxed);
-        shared
+    /// Publishes a job's [`StatsTally`]: one relaxed add per shared
+    /// counter and per registry metric, regardless of how many replay
+    /// steps the tally covers.
+    fn commit_tally(&self, tally: &StatsTally) {
+        let inner = &self.inner;
+        inner.hits.fetch_add(tally.cache_hits, Ordering::Relaxed);
+        inner
             .misses
             .fetch_add(tally.cache_misses, Ordering::Relaxed);
-        shared
+        inner
             .cached_steps
             .fetch_add(tally.cached_steps, Ordering::Relaxed);
-        shared
+        inner
             .live_steps
             .fetch_add(tally.live_steps, Ordering::Relaxed);
-        shared.jobs.fetch_add(tally.jobs, Ordering::Relaxed);
-        shared.wall_ns.fetch_add(tally.wall_ns, Ordering::Relaxed);
+        inner.jobs.fetch_add(tally.jobs, Ordering::Relaxed);
+        inner.wall_ns.fetch_add(tally.wall_ns, Ordering::Relaxed);
 
         rap_obs::counter!("verifier_jobs_total").add(tally.jobs);
         rap_obs::counter!("verifier_jobs_accepted_total").add(tally.accepted);
@@ -868,10 +809,10 @@ impl Verifier {
         rap_obs::counter!("verifier_dict_bulk_applies_total").add(tally.dict_bulk_applies);
         // Dynamic (labelled) names: resolved through the registry
         // directly, not the caching macro — rejection is rare.
-        for (kind, n) in &tally.violations {
+        if let Some(kind) = tally.violation {
             rap_obs::global()
                 .counter(&format!("verifier_violations_total{{kind=\"{kind}\"}}"))
-                .add(*n);
+                .inc();
         }
     }
 
@@ -897,7 +838,7 @@ impl Verifier {
             return Err(Violation::BadReportStream("no reports".into()));
         }
         for (i, r) in reports.iter().enumerate() {
-            if !r.authenticate(&self.key) {
+            if !r.authenticate(&self.inner.key) {
                 return Err(Violation::BadTag { seq: r.seq });
             }
             if r.seq != i as u32 {
@@ -909,7 +850,7 @@ impl Verifier {
             if r.chal != chal {
                 return Err(Violation::ChallengeMismatch);
             }
-            if r.h_mem != self.h_mem {
+            if r.h_mem != self.inner.h_mem {
                 return Err(Violation::HMemMismatch);
             }
             if r.overflow {
@@ -939,8 +880,8 @@ impl Verifier {
                 mtb.extend(r.log.mtb.iter().copied());
                 continue;
             }
-            let dict = self.dict.as_deref().ok_or(Violation::DictUnavailable)?;
-            if dict.image_hash != self.h_mem {
+            let dict = self.dict().ok_or(Violation::DictUnavailable)?;
+            if dict.image_hash != self.inner.h_mem {
                 return Err(Violation::DictImageMismatch);
             }
             let mut next_hit = 0usize;
@@ -978,7 +919,7 @@ impl Verifier {
             verifier: self,
             mtb,
             loops,
-            state: ReplayState::new(self.entry),
+            state: ReplayState::new(self.inner.entry),
             checkpoints: Vec::new(),
             first_violation: None,
             global_steps: 0,
@@ -1001,9 +942,9 @@ impl Verifier {
     /// reports it as [`Violation::InvalidPc`].
     fn segment_at(&self, pc: u32, tally: &mut StatsTally) -> Option<&Segment> {
         let slot = pc
-            .checked_sub(self.image.base())
+            .checked_sub(self.inner.image.base())
             .filter(|offset| offset % 2 == 0)
-            .and_then(|offset| self.shared.segments.get(offset as usize / 2));
+            .and_then(|offset| self.inner.segments.get(offset as usize / 2));
         let Some(slot) = slot else {
             tally.cache_hits += 1;
             return None;
@@ -1033,7 +974,7 @@ impl Verifier {
         let mut shadow_pushes = Vec::new();
 
         while steps < SEGMENT_CAP {
-            let Some(instr) = self.image.instr_at(pc) else {
+            let Some(instr) = self.inner.image.instr_at(pc) else {
                 break; // invalid PC: the live stepper reports it
             };
             let size = instr.size();
@@ -1048,7 +989,7 @@ impl Verifier {
                 }
                 Instr::B { target } => {
                     let Some(dest) = target.abs() else { break };
-                    if self.map.site_at_entry(dest).is_some() {
+                    if self.inner.map.site_at_entry(dest).is_some() {
                         break; // trampoline: consumes an MTB packet
                     }
                     steps += 1;
@@ -1056,10 +997,10 @@ impl Verifier {
                 }
                 Instr::BCond { target, .. } => {
                     let Some(dest) = target.abs() else { break };
-                    if self.map.site_at_entry(dest).is_some() {
+                    if self.inner.map.site_at_entry(dest).is_some() {
                         break; // tracked conditional
                     }
-                    let Some(meta) = self.map.loops_by_latch.get(&pc) else {
+                    let Some(meta) = self.inner.map.loops_by_latch.get(&pc) else {
                         break; // Fig. 7 forward-exit layout peeks at the log
                     };
                     let LoopPlanKind::Static { init } = meta.kind else {
@@ -1077,7 +1018,7 @@ impl Verifier {
                 }
                 Instr::Bl { target } => {
                     let Some(dest) = target.abs() else { break };
-                    if self.map.site_at_entry(dest).is_some() {
+                    if self.inner.map.site_at_entry(dest).is_some() {
                         break; // rewritten indirect call
                     }
                     shadow_pushes.push(pc + size);
@@ -1115,7 +1056,11 @@ impl Verifier {
     ) -> Result<bool, Violation> {
         let pc = state.pc;
         state.steps += 1;
-        let instr = self.image.instr_at(pc).ok_or(Violation::InvalidPc { pc })?;
+        let instr = self
+            .inner
+            .image
+            .instr_at(pc)
+            .ok_or(Violation::InvalidPc { pc })?;
         let size = instr.size();
 
         match instr {
@@ -1136,7 +1081,7 @@ impl Verifier {
             }
             Instr::B { target } => {
                 let dest = resolve(target);
-                if let Some(site) = self.map.site_at_entry(dest) {
+                if let Some(site) = self.inner.map.site_at_entry(dest) {
                     match site.kind {
                         SiteKind::LoopForward { cont } => {
                             let e = state.take_mtb(mtb, pc)?;
@@ -1175,7 +1120,7 @@ impl Verifier {
                         SiteKind::LoadJump | SiteKind::IndirectJump => {
                             let e = state.take_mtb(mtb, pc)?;
                             expect_src(pc, e.source, site.src)?;
-                            if self.map.in_mtbar(e.dest) {
+                            if self.inner.map.in_mtbar(e.dest) {
                                 return Err(Violation::InvalidPc { pc: e.dest });
                             }
                             state.events.push(PathEvent::IndirectJump {
@@ -1194,7 +1139,7 @@ impl Verifier {
             }
             Instr::BCond { target, .. } => {
                 let dest = resolve(target);
-                if let Some(site) = self.map.site_at_entry(dest) {
+                if let Some(site) = self.inner.map.site_at_entry(dest) {
                     let SiteKind::CondTaken { taken } = site.kind else {
                         return Err(Violation::UntrackedConditional { addr: pc });
                     };
@@ -1203,8 +1148,9 @@ impl Verifier {
                     // With CondBoth instrumentation the very next
                     // instruction is a fall-through-logging branch, and
                     // the decision is fully determined by the log.
-                    let ft_site = self.image.instr_at(pc + size).and_then(|n| match n {
+                    let ft_site = self.inner.image.instr_at(pc + size).and_then(|n| match n {
                         Instr::B { target } => self
+                            .inner
                             .map
                             .site_at_entry(resolve(target))
                             .filter(|s| matches!(s.kind, SiteKind::CondFallthrough { .. })),
@@ -1253,7 +1199,7 @@ impl Verifier {
                         state.events.push(PathEvent::CondNotTaken { site: pc });
                         state.pc = pc + size;
                     }
-                } else if let Some(meta) = self.map.loops_by_latch.get(&pc) {
+                } else if let Some(meta) = self.inner.map.loops_by_latch.get(&pc) {
                     // §IV-D replay: derive the iteration count.
                     let init = match meta.kind {
                         LoopPlanKind::Static { init } => init,
@@ -1274,9 +1220,10 @@ impl Verifier {
                     // Fig. 7 layout: the continue-logging branch
                     // immediately follows the untracked exit check.
                     let next_addr = pc + size;
-                    let follows = self.image.instr_at(next_addr);
+                    let follows = self.inner.image.instr_at(next_addr);
                     let forward_site = follows.and_then(|n| match n {
                         Instr::B { target } => self
+                            .inner
                             .map
                             .site_at_entry(resolve(target))
                             .filter(|s| matches!(s.kind, SiteKind::LoopForward { .. })),
@@ -1307,14 +1254,14 @@ impl Verifier {
             Instr::Bl { target } => {
                 let dest = resolve(target);
                 let ret = pc + size;
-                if let Some(site) = self.map.site_at_entry(dest) {
+                if let Some(site) = self.inner.map.site_at_entry(dest) {
                     if site.kind != SiteKind::IndirectCall {
                         return Err(Violation::UntrackedIndirect { addr: pc });
                     }
                     let e = state.take_mtb(mtb, pc)?;
                     expect_src(pc, e.source, site.src)?;
-                    let is_entry =
-                        self.image.is_func_entry(e.dest) || self.map.funcs.contains_key(&e.dest);
+                    let is_entry = self.inner.image.is_func_entry(e.dest)
+                        || self.inner.map.funcs.contains_key(&e.dest);
                     if !is_entry {
                         return Err(Violation::InvalidCallTarget {
                             site: pc,
@@ -1389,8 +1336,8 @@ pub struct ReplaySession<'v> {
     recording: Option<Recording>,
     /// Plain-integer tallies for everything this session does (zero
     /// atomics in the replay loop). `Some` until drained: either
-    /// [`run_into`](ReplaySession::run_into) hands it to the caller's
-    /// accumulator, or `Drop` commits it — so a session driven
+    /// [`Verifier::verify`] takes it to commit with the job's verdict,
+    /// or `Drop` commits it — so a session driven
     /// externally via [`advance`](ReplaySession::advance) still lands
     /// in the verifier's stats when it goes out of scope.
     tally: Option<StatsTally>,
@@ -1438,7 +1385,7 @@ impl ReplaySession<'_> {
             self.state.apply(segment);
             self.global_steps += segment.steps;
             tally.cached_steps += segment.steps;
-            if self.global_steps > self.verifier.max_steps {
+            if self.global_steps > self.verifier.inner.max_steps {
                 return Some(Err(self
                     .first_violation
                     .take()
@@ -1449,7 +1396,7 @@ impl ReplaySession<'_> {
         // Replay the non-deterministic (or terminal) head live.
         self.global_steps += 1;
         tally.live_steps += 1;
-        if self.global_steps > self.verifier.max_steps {
+        if self.global_steps > self.verifier.inner.max_steps {
             return Some(Err(self
                 .first_violation
                 .take()
@@ -1550,7 +1497,7 @@ impl ReplaySession<'_> {
             if let Some(m) = cached {
                 self.apply_macro(&m, span);
                 self.next_span += 1;
-                if self.global_steps > self.verifier.max_steps {
+                if self.global_steps > self.verifier.inner.max_steps {
                     return Some(Err(self
                         .first_violation
                         .take()
@@ -1581,7 +1528,7 @@ impl ReplaySession<'_> {
     fn probe_macros(&self, id: u32) -> (Option<Arc<DictMacro>>, bool) {
         let map = self
             .verifier
-            .shared
+            .inner
             .dict_macros
             .read()
             .expect("dict macro lock");
@@ -1680,7 +1627,7 @@ impl ReplaySession<'_> {
         };
         let mut map = self
             .verifier
-            .shared
+            .inner
             .dict_macros
             .write()
             .expect("dict macro lock");
@@ -1700,17 +1647,17 @@ impl ReplaySession<'_> {
         }
     }
 
-    /// Drives the session to completion, draining its tallies into
-    /// `sink` instead of committing them — the batch layer's deferred-
-    /// accounting path.
-    pub(crate) fn run_into(mut self, sink: &mut StatsTally) -> Result<VerifiedPath, Violation> {
+    /// Drives the session to completion and hands its tallies to the
+    /// caller instead of committing them, so [`Verifier::verify`] can
+    /// publish the whole job in one commit.
+    fn run_tallied(mut self) -> (Result<VerifiedPath, Violation>, StatsTally) {
         let verdict = loop {
             if let Some(verdict) = self.advance() {
                 break verdict;
             }
         };
-        sink.merge(self.tally.take().expect("session tally present"));
-        verdict
+        let tally = self.tally.take().expect("session tally present");
+        (verdict, tally)
     }
 }
 

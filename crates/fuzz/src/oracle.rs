@@ -33,8 +33,8 @@ use crate::rng::{mix, Rng};
 use mcu_sim::{ArchState, Machine, RunOutcome};
 use rap_link::{link, LinkOptions, LinkedProgram, SiteKind};
 use rap_track::{
-    decode_stream, device_key, encode_stream, BatchOptions, CfaEngine, Challenge, DictParams,
-    EngineConfig, FleetJob, Key, PathEvent, Report, SubPathDict, Verifier, Violation, WireError,
+    decode_stream, device_key, encode_stream, CfaEngine, Challenge, DictParams, EngineConfig,
+    FleetJob, Key, PathEvent, Report, SubPathDict, Verifier, Violation, WireError,
 };
 
 /// Per-case oracle configuration, fully determined by the campaign
@@ -398,7 +398,7 @@ fn replay_fidelity(p: &Pipeline) -> Result<Vec<PathEvent>, CaseFailure> {
             reports: p.reports.clone(),
         })
         .collect();
-    for outcome in p.verifier.fleet(BatchOptions::with_threads(2)).run(jobs) {
+    for outcome in p.verifier.fleet(2).run(jobs) {
         match outcome.result {
             Ok(fleet_path) => {
                 if fleet_path.events != path.events {

@@ -26,6 +26,9 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace
 run cargo run --release -q --example quickstart
 run cargo run --release -q --example attack_detection
 run cargo run --release -q --example partial_reports
+run cargo run --release -q --example fleet_attestation
+run cargo run --release -q --example offline_inspection
+run cargo run --release -q --example syringe_audit
 
 # Fuzz smoke: a fixed-seed differential campaign (deterministic, so
 # any failure here reproduces locally from the printed case seed), and

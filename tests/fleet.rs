@@ -5,8 +5,7 @@
 use armv8m_isa::{Asm, Reg};
 use rap_link::{link, LinkOptions};
 use rap_track::{
-    device_key, BatchOptions, CfaEngine, Challenge, EngineConfig, FleetJob, Report, Verifier,
-    Violation,
+    device_key, CfaEngine, Challenge, EngineConfig, FleetJob, Report, Verifier, Violation,
 };
 
 /// Attests one workload and returns everything needed to build jobs.
@@ -109,12 +108,8 @@ fn batch_matches_sequential_over_workloads() {
 
         let seq_verifier = verifier_for(&attested);
         let batch_verifier = verifier_for(&attested);
-        let sequential = seq_verifier
-            .fleet(BatchOptions::with_threads(1))
-            .sequential(jobs.clone());
-        let batched = batch_verifier
-            .fleet(BatchOptions::with_threads(8))
-            .run(jobs);
+        let sequential = seq_verifier.fleet(1).sequential(jobs.clone());
+        let batched = batch_verifier.fleet(8).run(jobs);
 
         assert_eq!(sequential.len(), batched.len());
         for (s, b) in sequential.iter().zip(&batched) {
@@ -182,12 +177,9 @@ fn fleet_handle_entry_points_agree() {
         })
         .collect();
     let verifier = verifier_for(&attested);
-    let opts = BatchOptions::with_threads(4);
 
-    let via_run = verifier.fleet(opts).run(jobs.clone());
-    let via_seq = verifier
-        .fleet(BatchOptions::with_threads(1))
-        .sequential(jobs);
+    let via_run = verifier.fleet(4).run(jobs.clone());
+    let via_seq = verifier.fleet(1).sequential(jobs);
     assert_eq!(via_run.len(), via_seq.len());
     for (a, b) in via_run.iter().zip(&via_seq) {
         assert_eq!((&a.device, &a.result), (&b.device, &b.result));
@@ -250,7 +242,7 @@ fn stress_interleaved_failures_across_8_workers() {
         .collect();
 
     let verifier = verifier_for(&attested);
-    let outcomes = verifier.fleet(BatchOptions::with_threads(8)).run(jobs);
+    let outcomes = verifier.fleet(8).run(jobs);
 
     assert_eq!(outcomes.len(), 40);
     for (i, outcome) in outcomes.iter().enumerate() {

@@ -13,8 +13,7 @@ use std::sync::Mutex;
 use rap_link::{link, LinkOptions};
 use rap_obs::Snapshot;
 use rap_track::{
-    device_key, BatchOptions, CfaEngine, Challenge, EngineConfig, FleetJob, Report, Verifier,
-    VerifierStats,
+    device_key, CfaEngine, Challenge, EngineConfig, FleetJob, Report, Verifier, VerifierStats,
 };
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -120,18 +119,14 @@ fn fleet_counters_match_sequential_totals() {
 
     let seq_verifier = fresh_verifier(&attested);
     let seq_delta = delta_of(|| {
-        let outcomes = seq_verifier
-            .fleet(BatchOptions::with_threads(1))
-            .sequential(jobs.clone());
+        let outcomes = seq_verifier.fleet(1).sequential(jobs.clone());
         assert!(outcomes.iter().all(|o| o.accepted()));
     });
     let seq_stats = seq_verifier.stats();
 
     let fleet_verifier = fresh_verifier(&attested);
     let fleet_delta = delta_of(|| {
-        let outcomes = fleet_verifier
-            .fleet(BatchOptions::with_threads(4))
-            .run(jobs.clone());
+        let outcomes = fleet_verifier.fleet(4).run(jobs.clone());
         assert!(outcomes.iter().all(|o| o.accepted()));
     });
     let fleet_stats = fleet_verifier.stats();
@@ -201,7 +196,7 @@ fn histogram_bucket_sums_equal_counts() {
     let jobs = fleet_jobs(&attested, 8);
     let verifier = fresh_verifier(&attested);
     let delta = delta_of(|| {
-        let outcomes = verifier.fleet(BatchOptions::with_threads(4)).run(jobs);
+        let outcomes = verifier.fleet(4).run(jobs);
         assert!(outcomes.iter().all(|o| o.accepted()));
     });
 
@@ -287,9 +282,7 @@ fn trace_collector_records_only_when_enabled() {
     rap_obs::disable_tracing();
     let _ = rap_obs::drain_events();
     let verifier = fresh_verifier(&attested);
-    let outcomes = verifier
-        .fleet(BatchOptions::with_threads(4))
-        .run(jobs.clone());
+    let outcomes = verifier.fleet(4).run(jobs.clone());
     assert!(outcomes.iter().all(|o| o.accepted()));
     assert!(
         rap_obs::drain_events().is_empty(),
@@ -298,7 +291,7 @@ fn trace_collector_records_only_when_enabled() {
 
     rap_obs::enable_tracing(0);
     let verifier = fresh_verifier(&attested);
-    let outcomes = verifier.fleet(BatchOptions::with_threads(4)).run(jobs);
+    let outcomes = verifier.fleet(4).run(jobs);
     assert!(outcomes.iter().all(|o| o.accepted()));
     rap_obs::disable_tracing();
     let events = rap_obs::drain_events();
