@@ -33,7 +33,10 @@ pub fn entry_hash(prev: &Digest, record_bytes: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Encodes one entry frame (length prefix, record bytes, entry hash).
+/// Encodes one entry frame (length prefix, record bytes, entry hash):
+/// the layout [`AuditLog::append`](crate::AuditLog::append) writes, for
+/// tests that build chains by hand.
+#[cfg(test)]
 pub(crate) fn encode_entry(prev: &Digest, record_bytes: &[u8]) -> (Vec<u8>, Digest) {
     let hash = entry_hash(prev, record_bytes);
     let mut out = Vec::with_capacity(FRAME_OVERHEAD + record_bytes.len());

@@ -9,7 +9,7 @@ use rap_crypto::Digest;
 use rap_track::VerdictRecord;
 
 use crate::chain::{
-    encode_entry, genesis_hash, ChainBreak, ChainVerifier, FILE_HEADER_LEN, MAGIC, VERSION,
+    entry_hash, genesis_hash, ChainBreak, ChainVerifier, FILE_HEADER_LEN, MAGIC, VERSION,
 };
 
 /// Why a log file could not be opened for appending.
@@ -142,8 +142,13 @@ impl AuditLog {
     /// Appends one pre-encoded record, returning its chain hash. The
     /// entry is buffered until [`flush`](AuditLog::flush).
     pub fn append(&mut self, record_bytes: &[u8]) -> Digest {
-        let (frame, hash) = encode_entry(&self.head, record_bytes);
-        self.pending.extend_from_slice(&frame);
+        // The frame `ChainVerifier::scan` reads back: length prefix,
+        // record bytes, entry hash.
+        let hash = entry_hash(&self.head, record_bytes);
+        self.pending
+            .extend_from_slice(&(record_bytes.len() as u32).to_le_bytes());
+        self.pending.extend_from_slice(record_bytes);
+        self.pending.extend_from_slice(&hash);
         self.pending_entries += 1;
         self.head = hash;
         hash

@@ -411,6 +411,10 @@ fn run() -> Result<(), CliError> {
                 // sessions survive an operator-driven restart.
                 println!("session secret (generated): {hex}");
             }
+            // Names the SHA-256 compressor behind every MAC, seal and
+            // audit hash: timings from hosts with different compressors
+            // do not compare.
+            println!("sha-256 compressor: {}", rap_crypto::sha256_backend());
             // Scripts parse this line to learn the ephemeral port.
             println!("listening on {}", server.local_addr());
             if let Some(admin) = server.admin_addr() {

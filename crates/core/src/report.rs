@@ -1,5 +1,7 @@
 //! CFA report format: `CF_Log`, challenges and authenticated reports.
 
+use std::iter;
+
 use rap_crypto::{hmac_sha256, verify_tag, Digest, HmacSha256};
 use trace_units::{SubPathHit, TraceEntry};
 
@@ -149,27 +151,40 @@ impl Report {
         mac.update(h_mem);
         mac.update(&seq.to_le_bytes());
         mac.update(&[is_final as u8, overflow as u8]);
-        mac.update(&(log.mtb.len() as u32).to_le_bytes());
-        for e in &log.mtb {
-            mac.update(&e.source.to_le_bytes());
-            mac.update(&e.dest.to_le_bytes());
-        }
-        mac.update(&(log.loop_records.len() as u32).to_le_bytes());
-        for r in &log.loop_records {
-            mac.update(&r.to_le_bytes());
-        }
+        let mtb = log.mtb.iter().flat_map(|e| [e.source, e.dest]);
+        update_le_words(
+            &mut mac,
+            iter::once(log.mtb.len() as u32)
+                .chain(mtb)
+                .chain(iter::once(log.loop_records.len() as u32))
+                .chain(log.loop_records.iter().copied()),
+        );
         // Dictionary hits are only covered when present, so v1 logs
         // (no dictionary) keep their historical byte-identical MACs.
         if !log.dict_hits.is_empty() {
             mac.update(b"RAP-TRACK-DICT-V2");
-            mac.update(&(log.dict_hits.len() as u32).to_le_bytes());
-            for h in &log.dict_hits {
-                mac.update(&h.at.to_le_bytes());
-                mac.update(&h.id.to_le_bytes());
-            }
+            let hits = log.dict_hits.iter().flat_map(|h| [h.at, h.id]);
+            update_le_words(&mut mac, iter::once(log.dict_hits.len() as u32).chain(hits));
         }
         mac.finalize()
     }
+}
+
+/// Feeds `words` to `mac` as little-endian bytes, the same bytes one
+/// `update` per word would, batched through a stack buffer: a log costs
+/// one `update` per 512 bytes instead of one per word.
+fn update_le_words(mac: &mut HmacSha256, words: impl IntoIterator<Item = u32>) {
+    let mut buf = [0u8; 512];
+    let mut len = 0;
+    for word in words {
+        buf[len..len + 4].copy_from_slice(&word.to_le_bytes());
+        len += 4;
+        if len == buf.len() {
+            mac.update(&buf);
+            len = 0;
+        }
+    }
+    mac.update(&buf[..len]);
 }
 
 /// Convenience: MAC key alias to make signatures self-documenting.
@@ -241,32 +256,129 @@ mod tests {
         assert!(!r.authenticate(&key));
     }
 
-    #[test]
-    fn dictless_mac_matches_v1_exactly() {
-        // A log without dictionary hits must authenticate under the
-        // historical v1 MAC computation, bit for bit.
-        let key = device_key("unit");
-        let chal = Challenge::from_seed(1);
-        let h_mem = rap_crypto::sha256(b"binary");
-        let log = sample_log();
-        let r = Report::new(&key, chal, h_mem, log.clone(), 4, false, true);
+    /// A deterministic log of `mtb` entries, `loops` loop records and
+    /// `hits` dictionary hits.
+    fn log_of(mtb: usize, loops: usize, hits: usize) -> CfLog {
+        CfLog {
+            mtb: (0..mtb as u32)
+                .map(|i| TraceEntry {
+                    source: 0x1000 + 4 * i,
+                    dest: (i + 1).wrapping_mul(0x9e37_79b9),
+                })
+                .collect(),
+            loop_records: (0..loops as u32).map(|i| i ^ 0x5a5a_0000).collect(),
+            dict_hits: (0..hits)
+                .map(|i| SubPathHit {
+                    at: (i * mtb / hits) as u32,
+                    id: (i % 7) as u32,
+                })
+                .collect(),
+        }
+    }
 
-        let mut mac = HmacSha256::new(&key);
+    /// The historical v1 MAC input, one `update` per field. However
+    /// `Report::mac` batches its input, it must feed exactly these bytes.
+    fn v1_per_field(key: &[u8], r: &Report) -> HmacSha256 {
+        let mut mac = HmacSha256::new(key);
         mac.update(b"RAP-TRACK-REPORT-V1");
-        mac.update(&chal.0);
-        mac.update(&h_mem);
-        mac.update(&4u32.to_le_bytes());
-        mac.update(&[0u8, 1u8]);
-        mac.update(&(log.mtb.len() as u32).to_le_bytes());
-        for e in &log.mtb {
+        mac.update(&r.chal.0);
+        mac.update(&r.h_mem);
+        mac.update(&r.seq.to_le_bytes());
+        mac.update(&[r.is_final as u8, r.overflow as u8]);
+        mac.update(&(r.log.mtb.len() as u32).to_le_bytes());
+        for e in &r.log.mtb {
             mac.update(&e.source.to_le_bytes());
             mac.update(&e.dest.to_le_bytes());
         }
-        mac.update(&(log.loop_records.len() as u32).to_le_bytes());
-        for rec in &log.loop_records {
+        mac.update(&(r.log.loop_records.len() as u32).to_le_bytes());
+        for rec in &r.log.loop_records {
             mac.update(&rec.to_le_bytes());
         }
-        assert_eq!(r.tag, mac.finalize());
+        mac
+    }
+
+    #[test]
+    fn dictless_mac_matches_v1_exactly() {
+        // A log without dictionary hits must authenticate under the
+        // historical v1 MAC computation, bit for bit, with logs ending
+        // on both sides of the MAC's batch boundaries.
+        let key = device_key("unit");
+        let chal = Challenge::from_seed(1);
+        let h_mem = rap_crypto::sha256(b"binary");
+        let r = Report::new(&key, chal, h_mem, sample_log(), 4, false, true);
+        assert_eq!(r.tag, v1_per_field(&key, &r).finalize());
+        for mtb in [0, 1, 63, 64, 65, 2_350] {
+            for loops in [0, 1, 300] {
+                let r = Report::new(&key, chal, h_mem, log_of(mtb, loops, 0), 4, false, true);
+                assert_eq!(
+                    r.tag,
+                    v1_per_field(&key, &r).finalize(),
+                    "{mtb} entries, {loops} loop records"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dict_mac_matches_v2_per_field() {
+        // The v2 extension, one `update` per field after the v1 body.
+        let key = device_key("unit");
+        for (mtb, loops, hits) in [
+            (0, 0, 1),
+            (1, 1, 1),
+            (64, 0, 63),
+            (65, 1, 64),
+            (2_350, 300, 300),
+        ] {
+            let r = Report::new(
+                &key,
+                Challenge::from_seed(1),
+                rap_crypto::sha256(b"binary"),
+                log_of(mtb, loops, hits),
+                4,
+                false,
+                true,
+            );
+            let mut mac = v1_per_field(&key, &r);
+            mac.update(b"RAP-TRACK-DICT-V2");
+            mac.update(&(r.log.dict_hits.len() as u32).to_le_bytes());
+            for h in &r.log.dict_hits {
+                mac.update(&h.at.to_le_bytes());
+                mac.update(&h.id.to_le_bytes());
+            }
+            assert_eq!(
+                r.tag,
+                mac.finalize(),
+                "{mtb} entries, {loops} loop records, {hits} hits"
+            );
+        }
+    }
+
+    #[test]
+    fn long_report_tags_are_pinned() {
+        // Tags of a 2 350-entry log, fixed as constants: a batching or
+        // compressor change that moves any byte fails here even where
+        // `new` and `authenticate` still agree with each other.
+        let tag_hex = |hits: usize| -> String {
+            let r = Report::new(
+                &device_key("unit"),
+                Challenge::from_seed(1),
+                rap_crypto::sha256(b"binary"),
+                log_of(2_350, 300, hits),
+                4,
+                false,
+                true,
+            );
+            r.tag.iter().map(|b| format!("{b:02x}")).collect()
+        };
+        assert_eq!(
+            tag_hex(0),
+            "1dcd38fb2b1fb5580a4c5fa2b82b15c154f99bd4aee557c2343738c114eb16e0"
+        );
+        assert_eq!(
+            tag_hex(300),
+            "9db1295c56db4081e99fcc0c572453dcb23e1ac89592bd9bc6b9949e1df07f30"
+        );
     }
 
     #[test]

@@ -77,48 +77,53 @@ impl HmacSha256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::for_each_compressor;
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Asserts `hmac_sha256(key, msg)` under every compressor.
+    fn assert_tag(key: &[u8], msg: &[u8], want: &str) {
+        for_each_compressor(|backend| {
+            assert_eq!(hex(&hmac_sha256(key, msg)), want, "{backend}");
+        });
+    }
+
     // RFC 4231 test vectors.
     #[test]
     fn rfc4231_case_1() {
-        let key = [0x0b; 20];
-        assert_eq!(
-            hex(&hmac_sha256(&key, b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        assert_tag(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case_2() {
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        assert_tag(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case_3() {
-        let key = [0xaa; 20];
-        let data = [0xdd; 50];
-        assert_eq!(
-            hex(&hmac_sha256(&key, &data)),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        assert_tag(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case_6_long_key() {
-        let key = [0xaa; 131];
-        assert_eq!(
-            hex(&hmac_sha256(
-                &key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        assert_tag(
+            &[0xaa; 131],
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
@@ -126,10 +131,12 @@ mod tests {
     fn incremental_equals_oneshot() {
         let key = b"a key";
         let msg = b"a message split into pieces";
-        let mut mac = HmacSha256::new(key);
-        mac.update(&msg[..9]);
-        mac.update(&msg[9..]);
-        assert_eq!(mac.finalize(), hmac_sha256(key, msg));
+        for_each_compressor(|backend| {
+            let mut mac = HmacSha256::new(key);
+            mac.update(&msg[..9]);
+            mac.update(&msg[9..]);
+            assert_eq!(mac.finalize(), hmac_sha256(key, msg), "{backend}");
+        });
     }
 
     #[test]

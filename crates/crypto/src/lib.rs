@@ -8,6 +8,12 @@
 //! in the Secure World; this crate provides the functionally equivalent
 //! symmetric primitive (a MAC, as §II-C of the paper explicitly allows).
 //!
+//! Every SHA-256 block compression runs through one function: an x86-64
+//! SHA-NI kernel when run-time detection finds the SHA extensions, the
+//! portable compression otherwise. Both give the same digests;
+//! [`sha256_backend`] names the one in use and [`compressions`] counts
+//! blocks per thread.
+//!
 //! ```
 //! use rap_crypto::{hmac_sha256, sha256, verify_tag};
 //! let h_mem = sha256(b"application binary bytes");
@@ -21,4 +27,4 @@ mod hmac;
 mod sha256;
 
 pub use hmac::{hmac_sha256, verify_tag, HmacSha256};
-pub use sha256::{sha256, Digest, Sha256, DIGEST_LEN};
+pub use sha256::{compressions, sha256, sha256_backend, Digest, Sha256, DIGEST_LEN};

@@ -12,6 +12,9 @@ run() {
 
 run cargo build --release --workspace
 run cargo test -q --workspace
+# The SHA-NI kernel again, optimized: the release build is what every
+# bench and deployment runs.
+run cargo test --release -q -p rap-crypto
 # The benchmark package is a workspace of its own, so the run above
 # never builds it. Building it and running its exact-repeat test here
 # makes a change to a public type it reads fail this gate, not only the
