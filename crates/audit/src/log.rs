@@ -142,22 +142,29 @@ impl AuditLog {
     /// Appends one pre-encoded record, returning its chain hash. The
     /// entry is buffered until [`flush`](AuditLog::flush).
     pub fn append(&mut self, record_bytes: &[u8]) -> Digest {
-        // The frame `ChainVerifier::scan` reads back: length prefix,
-        // record bytes, entry hash.
+        self.push_frame(|pending| pending.extend_from_slice(record_bytes))
+    }
+
+    /// Appends a sealed record ([`append`](AuditLog::append) over its
+    /// canonical encoding), encoded straight into the buffer.
+    pub fn append_record(&mut self, record: &VerdictRecord) -> Digest {
+        self.push_frame(|pending| record.encode_into(pending))
+    }
+
+    /// Buffers the frame `ChainVerifier::scan` reads back: length
+    /// prefix, the record bytes `write` appends, entry hash.
+    fn push_frame(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Digest {
+        let prefix = self.pending.len();
+        self.pending.extend_from_slice(&[0; 4]);
+        write(&mut self.pending);
+        let record_bytes = &self.pending[prefix + 4..];
+        let len = record_bytes.len() as u32;
         let hash = entry_hash(&self.head, record_bytes);
-        self.pending
-            .extend_from_slice(&(record_bytes.len() as u32).to_le_bytes());
-        self.pending.extend_from_slice(record_bytes);
+        self.pending[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
         self.pending.extend_from_slice(&hash);
         self.pending_entries += 1;
         self.head = hash;
         hash
-    }
-
-    /// Appends a sealed record ([`append`](AuditLog::append) over its
-    /// canonical encoding).
-    pub fn append_record(&mut self, record: &VerdictRecord) -> Digest {
-        self.append(&record.encode())
     }
 
     /// Commits every buffered entry in one write.

@@ -20,6 +20,7 @@
 //! [`Violation::ChallengeMismatch`].
 
 use std::collections::VecDeque;
+use std::sync::LazyLock;
 
 use armv8m_isa::Image;
 use rap_crypto::HmacSha256;
@@ -29,6 +30,10 @@ use crate::report::{Challenge, Key, Report};
 use crate::verdict::VerdictRecord;
 use crate::verifier::{VerifiedPath, Verifier, Violation};
 use crate::wire::WireError;
+
+/// The challenge MAC, keyed once with its constant domain key: every
+/// nonce clones it.
+static CHAL_MAC: LazyLock<HmacSha256> = LazyLock::new(|| HmacSha256::new(b"RAP-TRACK-CHAL"));
 
 /// The Verifier's per-device session state.
 #[derive(Debug, Clone)]
@@ -114,7 +119,7 @@ impl VerifierSession {
     pub fn issue_windowed_challenge(&mut self) -> Challenge {
         self.counter += 1;
         // HMAC(domain, secret ‖ counter), streamed: no message buffer.
-        let mut mac = HmacSha256::new(b"RAP-TRACK-CHAL");
+        let mut mac = CHAL_MAC.clone();
         mac.update(&self.session_secret);
         mac.update(&self.counter.to_le_bytes());
         let chal = Challenge(mac.finalize());

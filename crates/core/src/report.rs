@@ -102,7 +102,15 @@ impl Report {
         is_final: bool,
         overflow: bool,
     ) -> Report {
-        let tag = Report::mac(key, &chal, &h_mem, &log, seq, is_final, overflow);
+        let tag = Report::mac(
+            HmacSha256::new(key),
+            &chal,
+            &h_mem,
+            &log,
+            seq,
+            is_final,
+            overflow,
+        );
         Report {
             chal,
             h_mem,
@@ -117,8 +125,14 @@ impl Report {
     /// Recomputes the MAC and compares it against the carried tag in
     /// constant time.
     pub fn authenticate(&self, key: &[u8]) -> bool {
+        self.authenticate_keyed(&HmacSha256::new(key))
+    }
+
+    /// [`Report::authenticate`] under a MAC context already keyed with
+    /// the device key: the key's pad blocks are not hashed again.
+    pub(crate) fn authenticate_keyed(&self, keyed: &HmacSha256) -> bool {
         let expected = Report::mac(
-            key,
+            keyed.clone(),
             &self.chal,
             &self.h_mem,
             &self.log,
@@ -136,8 +150,9 @@ impl Report {
             + 32 /* tag */ + self.log.size_bytes()
     }
 
+    /// The tag under `mac`, a context keyed with the device key.
     fn mac(
-        key: &[u8],
+        mut mac: HmacSha256,
         chal: &Challenge,
         h_mem: &Digest,
         log: &CfLog,
@@ -145,7 +160,6 @@ impl Report {
         is_final: bool,
         overflow: bool,
     ) -> Digest {
-        let mut mac = HmacSha256::new(key);
         mac.update(b"RAP-TRACK-REPORT-V1");
         mac.update(&chal.0);
         mac.update(h_mem);

@@ -35,13 +35,16 @@
 //! tag    [u8; 32]        HMAC-SHA256 over all of the above
 //! ```
 
-use rap_crypto::{hmac_sha256, sha256, verify_tag, Digest, HmacSha256};
+use rap_crypto::{hmac_sha256, sha256, verify_tag, Digest, HmacSha256, DIGEST_LEN};
 
 use crate::metrics::VerifierStats;
 use crate::report::Challenge;
 
 const MAGIC: &[u8; 4] = b"RAPV";
 const VERSION: u8 = 1;
+/// Body bytes besides the three strings' contents: every fixed field
+/// and the three length prefixes.
+const BODY_FIXED_LEN: usize = 154;
 /// Domain separating the record MAC from every other HMAC in the
 /// system — a report tag can never alias a verdict seal.
 const SEAL_DOMAIN: &[u8] = b"RAP-TRACK-VERDICT-V1";
@@ -255,18 +258,32 @@ impl VerdictRecord {
     /// Seals a draft: encodes the body and MACs it under `seal_key`
     /// (derive one with [`verdict_seal_key`]).
     pub fn seal(seal_key: &[u8], fields: VerdictDraft) -> VerdictRecord {
-        let body = encode_body(&fields);
+        VerdictRecord::seal_keyed(&HmacSha256::new(seal_key), fields)
+    }
+
+    /// [`VerdictRecord::seal`] under a MAC context already keyed with
+    /// the sealing key: the key's pad blocks are not hashed again.
+    pub(crate) fn seal_keyed(keyed: &HmacSha256, fields: VerdictDraft) -> VerdictRecord {
         VerdictRecord {
-            tag: seal_tag(seal_key, &body),
+            tag: seal_tag(keyed.clone(), &fields),
             fields,
         }
     }
 
-    /// Canonical byte encoding: body followed by the 32-byte tag.
+    /// Canonical byte encoding: body followed by the 32-byte tag, in
+    /// one allocation of exactly its length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = encode_body(&self.fields);
-        out.extend_from_slice(&self.tag);
+        let f = &self.fields;
+        let strings = f.device.len() + f.kind.len() + f.detail.len();
+        let mut out = Vec::with_capacity(BODY_FIXED_LEN + strings + DIGEST_LEN);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends [`VerdictRecord::encode`]'s bytes to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        write_body(&self.fields, |bytes| out.extend_from_slice(bytes));
+        out.extend_from_slice(&self.tag);
     }
 
     /// Decodes one record, requiring the buffer to contain exactly one.
@@ -327,8 +344,8 @@ impl VerdictRecord {
     /// Recomputes the seal and compares it against the carried tag in
     /// constant time.
     pub fn authenticate(&self, seal_key: &[u8]) -> bool {
-        let body = encode_body(&self.fields);
-        verify_tag(&seal_tag(seal_key, &body), &self.tag)
+        let tag = seal_tag(HmacSha256::new(seal_key), &self.fields);
+        verify_tag(&tag, &self.tag)
     }
 
     /// SHA-256 over the canonical encoding — the identity other
@@ -392,31 +409,30 @@ pub fn short_hash_hex(hash: &Digest) -> String {
     out
 }
 
-fn encode_body(f: &VerdictDraft) -> Vec<u8> {
-    let mut out = Vec::with_capacity(165 + f.device.len() + f.kind.len() + f.detail.len());
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.push(u8::from(f.accepted));
-    out.extend_from_slice(&f.seq.to_le_bytes());
-    out.extend_from_slice(&f.chal.0);
-    out.extend_from_slice(&f.report_hash);
-    out.extend_from_slice(&f.stats_digest);
-    out.extend_from_slice(&f.events.to_le_bytes());
-    out.extend_from_slice(&f.steps.to_le_bytes());
-    out.extend_from_slice(&f.dict_hits.to_le_bytes());
-    out.extend_from_slice(&f.cache_hits.to_le_bytes());
-    out.extend_from_slice(&f.cache_misses.to_le_bytes());
+/// Feeds the encoded body to `put`, field by field.
+fn write_body(f: &VerdictDraft, mut put: impl FnMut(&[u8])) {
+    put(MAGIC);
+    put(&[VERSION, u8::from(f.accepted)]);
+    put(&f.seq.to_le_bytes());
+    put(&f.chal.0);
+    put(&f.report_hash);
+    put(&f.stats_digest);
+    put(&f.events.to_le_bytes());
+    put(&f.steps.to_le_bytes());
+    put(&f.dict_hits.to_le_bytes());
+    put(&f.cache_hits.to_le_bytes());
+    put(&f.cache_misses.to_le_bytes());
     for s in [&f.device, &f.kind, &f.detail] {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
+        put(&(s.len() as u32).to_le_bytes());
+        put(s.as_bytes());
     }
-    out
 }
 
-fn seal_tag(seal_key: &[u8], body: &[u8]) -> Digest {
-    let mut mac = HmacSha256::new(seal_key);
+/// The seal over `f`'s body under `mac`, a context keyed with the
+/// sealing key. The body streams into the MAC; no buffer is built.
+fn seal_tag(mut mac: HmacSha256, f: &VerdictDraft) -> Digest {
     mac.update(SEAL_DOMAIN);
-    mac.update(body);
+    write_body(f, |bytes| mac.update(bytes));
     mac.finalize()
 }
 
@@ -463,6 +479,20 @@ mod tests {
         let b = VerdictRecord::seal(&seal_key(), sample());
         assert_eq!(a.encode(), b.encode());
         assert_eq!(a.record_hash(), b.record_hash());
+    }
+
+    #[test]
+    fn encode_allocates_exactly_once() {
+        let mut draft = sample();
+        for detail in ["", "x", "a longer failure detail"] {
+            draft.detail = detail.to_string();
+            let record = VerdictRecord::seal(&seal_key(), draft.clone());
+            let bytes = record.encode();
+            assert_eq!(bytes.capacity(), bytes.len(), "detail {detail:?}");
+            let mut appended = b"prefix".to_vec();
+            record.encode_into(&mut appended);
+            assert_eq!(&appended[6..], &bytes[..]);
+        }
     }
 
     #[test]

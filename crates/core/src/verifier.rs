@@ -9,7 +9,8 @@
 //! address, a hijacked indirect call, a forged or truncated log —
 //! surfaces as a typed [`Violation`].
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -17,7 +18,7 @@ use std::time::Instant;
 use rap_obs::CachePadded;
 
 use armv8m_isa::{service, BranchKind, Image, Instr, Reg, Target};
-use rap_crypto::{sha256, Digest};
+use rap_crypto::{sha256, Digest, HmacSha256};
 use rap_link::{LinkMap, LoopPlanKind, SiteKind};
 
 use crate::dict::SubPathDict;
@@ -407,9 +408,14 @@ type MacroMap = RwLock<HashMap<(u32, u32), Vec<Arc<DictMacro>>>>;
 /// replay loop.
 #[derive(Debug)]
 struct Inner {
-    key: Key,
-    /// [`crate::verdict_seal_key`] of `key`, derived once at build.
+    /// A MAC context keyed with the device key: every report MAC
+    /// clones it.
+    report_mac: HmacSha256,
+    /// [`crate::verdict_seal_key`] of the device key, derived once at
+    /// build.
     seal_key: Digest,
+    /// A MAC context keyed with `seal_key`: every seal clones it.
+    seal_mac: HmacSha256,
     image: Image,
     map: LinkMap,
     h_mem: Digest,
@@ -592,7 +598,8 @@ impl VerifierBuilder {
         seal_key.copy_from_slice(&crate::verdict::verdict_seal_key(&key));
         let slots = (image.end() - image.base()) / 2;
         let inner = Inner {
-            key,
+            report_mac: HmacSha256::new(&key),
+            seal_mac: HmacSha256::new(&seal_key),
             seal_key,
             h_mem: sha256(image.bytes()),
             entry: image.base(),
@@ -686,7 +693,7 @@ impl Verifier {
     /// sealing key; verification outcomes are sealed by
     /// [`Verifier::verify_record`].
     pub fn seal_verdict(&self, draft: VerdictDraft) -> VerdictRecord {
-        VerdictRecord::seal(&self.inner.seal_key, draft)
+        VerdictRecord::seal_keyed(&self.inner.seal_mac, draft)
     }
 
     /// Decodes a report-stream `payload`, verifies it against `chal`
@@ -838,7 +845,7 @@ impl Verifier {
             return Err(Violation::BadReportStream("no reports".into()));
         }
         for (i, r) in reports.iter().enumerate() {
-            if !r.authenticate(&self.inner.key) {
+            if !r.authenticate_keyed(&self.inner.report_mac) {
                 return Err(Violation::BadTag { seq: r.seq });
             }
             if r.seq != i as u32 {
@@ -915,12 +922,13 @@ impl Verifier {
             }
         }
 
+        let scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
         Ok(ReplaySession {
             verifier: self,
             mtb,
             loops,
-            state: ReplayState::new(self.inner.entry),
-            checkpoints: Vec::new(),
+            state: ReplayState::new(self.inner.entry, scratch.undo),
+            checkpoints: scratch.checkpoints,
             first_violation: None,
             global_steps: 0,
             spans,
@@ -1070,12 +1078,12 @@ impl Verifier {
             }
             Instr::SecureGateway { service: svc, .. } => {
                 if *svc == service::LOG_LOOP_COND {
-                    let v = loops
-                        .get(state.loop_idx)
-                        .copied()
-                        .ok_or(Violation::LogExhausted { pc })?;
+                    // The record joins the pending window
+                    // `loops[init_head..loop_idx]`.
+                    if state.loop_idx >= loops.len() {
+                        return Err(Violation::LogExhausted { pc });
+                    }
                     state.loop_idx += 1;
-                    state.pending_inits.push_back(v);
                 }
                 state.pc = pc + size;
             }
@@ -1101,8 +1109,7 @@ impl Verifier {
                             let e = state.take_mtb(mtb, pc)?;
                             expect_src(pc, e.source, site.src)?;
                             let expected = state
-                                .shadow
-                                .pop()
+                                .pop_shadow()
                                 .ok_or(Violation::ShadowStackUnderflow { site: pc })?;
                             if e.dest != expected {
                                 return Err(Violation::ReturnMismatch {
@@ -1203,10 +1210,15 @@ impl Verifier {
                     // §IV-D replay: derive the iteration count.
                     let init = match meta.kind {
                         LoopPlanKind::Static { init } => init,
-                        LoopPlanKind::Logged => state
-                            .pending_inits
-                            .pop_front()
-                            .ok_or(Violation::LogExhausted { pc })?,
+                        LoopPlanKind::Logged => {
+                            // The oldest pending init.
+                            let init = loops[state.init_head..state.loop_idx]
+                                .first()
+                                .copied()
+                                .ok_or(Violation::LogExhausted { pc })?;
+                            state.init_head += 1;
+                            init
+                        }
                     };
                     let count = meta
                         .iterations(init, LOOP_CAP)
@@ -1284,8 +1296,7 @@ impl Verifier {
                 // Untracked leaf return: deterministic via the shadow
                 // stack (§IV-C.2).
                 let dest = state
-                    .shadow
-                    .pop()
+                    .pop_shadow()
                     .ok_or(Violation::ShadowStackUnderflow { site: pc })?;
                 state.events.push(PathEvent::Return { site: pc, dest });
                 state.pc = dest;
@@ -1348,6 +1359,12 @@ impl Drop for ReplaySession<'_> {
         if let Some(tally) = self.tally.take() {
             self.verifier.commit_tally(&tally);
         }
+        // Hand the growing buffers back for the thread's next round.
+        let scratch = ReplayScratch {
+            checkpoints: recycle(std::mem::take(&mut self.checkpoints)),
+            undo: recycle(std::mem::take(&mut self.state.undo)),
+        };
+        let _ = SCRATCH.try_with(|slot| slot.set(scratch));
     }
 }
 
@@ -1421,22 +1438,20 @@ impl ReplaySession<'_> {
         }
         match outcome {
             Ok(true) => {
-                // Halted: the whole log must be consumed.
-                if self.state.mtb_idx == self.mtb.len()
-                    && self.state.loop_idx == self.loops.len()
-                    && self.state.pending_inits.is_empty()
-                {
+                // Halted: the whole log must be consumed, every loop
+                // record both read and used as an init.
+                let mtb_left = self.mtb.len() - self.state.mtb_idx;
+                let loops_left = self.loops.len() - self.state.init_head;
+                if mtb_left == 0 && loops_left == 0 {
                     return Some(Ok(VerifiedPath {
                         events: std::mem::take(&mut self.state.events),
                         steps: self.state.steps,
                     }));
                 }
-                let v = Violation::TrailingLog {
-                    mtb_left: self.mtb.len() - self.state.mtb_idx,
-                    loops_left: self.loops.len() - self.state.loop_idx
-                        + self.state.pending_inits.len(),
-                };
-                self.backtrack(v)
+                self.backtrack(Violation::TrailingLog {
+                    mtb_left,
+                    loops_left,
+                })
             }
             Ok(false) => None,
             Err(v) => self.backtrack(v),
@@ -1505,7 +1520,7 @@ impl ReplaySession<'_> {
                 }
                 continue;
             }
-            if room && self.state.pending_inits.is_empty() {
+            if room && self.state.no_pending_inits() {
                 self.recording = Some(Recording {
                     span: self.next_span,
                     start_pc: self.state.pc,
@@ -1547,7 +1562,7 @@ impl ReplaySession<'_> {
     /// queued loop inits that would alter in-span decisions.
     fn macro_applies(&self, m: &DictMacro) -> bool {
         let shadow = &self.state.shadow;
-        self.state.pending_inits.is_empty()
+        self.state.no_pending_inits()
             && shadow.len() >= m.required_suffix.len()
             && shadow[shadow.len() - m.required_suffix.len()..] == m.required_suffix[..]
             && self.loops[self.state.loop_idx..].starts_with(&m.loops_used)
@@ -1556,35 +1571,41 @@ impl ReplaySession<'_> {
     /// Bulk-applies a recorded macro: splices the span's events, shadow
     /// / loop / pending deltas and in-span checkpoints exactly as the
     /// live replay that recorded it would have produced them.
+    ///
+    /// Each in-span checkpoint gets an undo block instead of a shadow
+    /// copy: its mark is the log length before `(keep + i,
+    /// shadow_tail[i])` entries are appended, so a restore rebuilds
+    /// `shadow[..keep] ++ shadow_tail`. The dropped suffix is logged
+    /// first, so checkpoints older than the span still rewind past it.
     fn apply_macro(&mut self, m: &DictMacro, span: HitSpan) {
-        let keep = self.state.shadow.len() - m.required_suffix.len();
-        let base_mtb = self.state.mtb_idx;
-        let base_loop = self.state.loop_idx;
-        let base_events = self.state.events.len();
-        let base_steps = self.state.steps;
+        let state = &mut self.state;
+        let keep = state.shadow.len() - m.required_suffix.len();
+        let base_mtb = state.mtb_idx;
+        let base_loop = state.loop_idx;
+        let base_events = state.events.len();
+        let base_steps = state.steps;
+        state.truncate_shadow(keep);
         for mc in &m.checkpoints {
-            let mut shadow = Vec::with_capacity(keep + mc.shadow_tail.len());
-            shadow.extend_from_slice(&self.state.shadow[..keep]);
-            shadow.extend_from_slice(&mc.shadow_tail);
             self.checkpoints.push(Checkpoint {
                 alt_pc: mc.alt_pc,
                 alt_event: mc.alt_event,
-                shadow,
+                depth: keep + mc.shadow_tail.len(),
+                mark: state.undo.len(),
                 mtb_idx: base_mtb + mc.mtb_off,
                 loop_idx: base_loop + mc.loop_off,
-                pending_inits: mc.pending.clone(),
+                init_head: base_loop + mc.init_off,
                 events_len: base_events + mc.events_off,
                 steps: base_steps + mc.steps_off,
             });
+            log_frames(&mut state.undo, keep, &mc.shadow_tail);
         }
-        self.state.events.extend_from_slice(&m.events);
-        self.state.shadow.truncate(keep);
-        self.state.shadow.extend_from_slice(&m.end_tail);
-        self.state.steps += m.steps;
-        self.state.mtb_idx = span.end;
-        self.state.loop_idx += m.loops_used.len();
-        self.state.pending_inits = m.end_pending.clone();
-        self.state.pc = m.end_pc;
+        state.events.extend_from_slice(&m.events);
+        state.shadow.extend_from_slice(&m.end_tail);
+        state.steps += m.steps;
+        state.mtb_idx = span.end;
+        state.loop_idx += m.loops_used.len();
+        state.init_head = state.loop_idx - m.end_pending;
+        state.pc = m.end_pc;
         self.global_steps += m.steps;
         let tally = self.tally.as_mut().expect("session tally present");
         tally.cached_steps += m.steps;
@@ -1602,27 +1623,36 @@ impl ReplaySession<'_> {
         };
         let span = self.spans[rec.span];
         let min_depth = rec.min_depth;
-        let mut checkpoints = Vec::with_capacity(self.checkpoints.len() - rec.start_checkpoints);
-        for cp in &self.checkpoints[rec.start_checkpoints..] {
+        let state = &self.state;
+        // Rebuild each in-span checkpoint's shadow, newest first, by
+        // unwinding a copy of the live stack one checkpoint at a time.
+        let in_span = &self.checkpoints[rec.start_checkpoints..];
+        let mut checkpoints = Vec::with_capacity(in_span.len());
+        let mut shadow = state.shadow.clone();
+        let mut log_end = state.undo.len();
+        for cp in in_span.iter().rev() {
+            unwind(&mut shadow, &state.undo[cp.mark..log_end], cp.depth);
+            log_end = cp.mark;
             checkpoints.push(MacroCheckpoint {
                 alt_pc: cp.alt_pc,
                 alt_event: cp.alt_event,
-                shadow_tail: cp.shadow[min_depth..].to_vec(),
+                shadow_tail: shadow[min_depth..].to_vec(),
                 mtb_off: cp.mtb_idx - span.start,
                 loop_off: cp.loop_idx - rec.start_loop_idx,
-                pending: cp.pending_inits.clone(),
+                init_off: cp.init_head - rec.start_loop_idx,
                 events_off: cp.events_len - rec.start_events,
                 steps_off: cp.steps - rec.start_steps,
             });
         }
+        checkpoints.reverse();
         let built = DictMacro {
-            steps: self.state.steps - rec.start_steps,
-            events: self.state.events[rec.start_events..].to_vec(),
+            steps: state.steps - rec.start_steps,
+            events: state.events[rec.start_events..].to_vec(),
             required_suffix: rec.start_shadow[min_depth..].to_vec(),
-            end_tail: self.state.shadow[min_depth..].to_vec(),
-            loops_used: self.loops[rec.start_loop_idx..self.state.loop_idx].to_vec(),
-            end_pending: self.state.pending_inits.clone(),
-            end_pc: self.state.pc,
+            end_tail: state.shadow[min_depth..].to_vec(),
+            loops_used: self.loops[rec.start_loop_idx..state.loop_idx].to_vec(),
+            end_pending: state.loop_idx - state.init_head,
+            end_pc: state.pc,
             checkpoints,
         };
         let mut map = self
@@ -1661,29 +1691,58 @@ impl ReplaySession<'_> {
     }
 }
 
-/// Snapshot-able replay state (checkpointed at ambiguous decisions).
-#[derive(Debug, Clone)]
+/// Replay state (checkpointed at ambiguous decisions).
+#[derive(Debug)]
 struct ReplayState {
     pc: u32,
     shadow: Vec<u32>,
+    /// Shadow undo log: one `(position, value)` entry per popped frame.
+    /// Pushes log nothing; a [`Checkpoint`] rewinds the stack by
+    /// replaying the entries after its mark backwards. Positions fit in
+    /// `u32`: a deeper stack would itself hold 16 GiB, and the default
+    /// step budget stops replay 40 times shallower.
+    undo: Vec<(u32, u32)>,
     mtb_idx: usize,
+    /// Loop records read by `LOG_LOOP_COND` gateways.
     loop_idx: usize,
-    pending_inits: VecDeque<u32>,
+    /// Loop records used as inits by logged latches. Gateways read the
+    /// records in order and latches take the oldest pending one, so the
+    /// pending inits are always `loops[init_head..loop_idx]`.
+    init_head: usize,
     events: Vec<PathEvent>,
     steps: u64,
 }
 
 impl ReplayState {
-    fn new(entry: u32) -> ReplayState {
+    fn new(entry: u32, undo: Vec<(u32, u32)>) -> ReplayState {
         ReplayState {
             pc: entry,
             shadow: Vec::new(),
+            undo,
             mtb_idx: 0,
             loop_idx: 0,
-            pending_inits: VecDeque::new(),
+            init_head: 0,
             events: vec![PathEvent::Enter(entry)],
             steps: 0,
         }
+    }
+
+    /// Whether every loop record read so far has been used as an init.
+    fn no_pending_inits(&self) -> bool {
+        self.init_head == self.loop_idx
+    }
+
+    /// Pops a shadow frame, logging it for rewinds.
+    fn pop_shadow(&mut self) -> Option<u32> {
+        let value = self.shadow.pop()?;
+        self.undo.push((self.shadow.len() as u32, value));
+        Some(value)
+    }
+
+    /// Drops the shadow frames at and above `depth`, logging each.
+    fn truncate_shadow(&mut self, depth: usize) {
+        log_frames(&mut self.undo, depth, &self.shadow[depth..]);
+        self.shadow.truncate(depth);
     }
 
     /// Bulk-applies a cached deterministic stretch.
@@ -1708,20 +1767,23 @@ impl ReplayState {
     }
 }
 
-/// A cheap rewind point for the backtracking parse: everything needed
-/// to resume with the alternative reading of one ambiguous decision.
-/// The (potentially large) event list is shared with the live state and
-/// merely truncated on restore.
-#[derive(Debug, Clone)]
+/// A rewind point for the backtracking parse: everything needed to
+/// resume with the alternative reading of one ambiguous decision, in a
+/// few scalars. The event list is truncated and the shadow stack
+/// unwound from the undo log on restore.
+#[derive(Debug, Clone, Copy)]
 struct Checkpoint {
     /// PC to resume at under the alternative reading.
     alt_pc: u32,
     /// Event recorded for the alternative reading.
     alt_event: PathEvent,
-    shadow: Vec<u32>,
+    /// Shadow depth.
+    depth: usize,
+    /// Undo-log length.
+    mark: usize,
     mtb_idx: usize,
     loop_idx: usize,
-    pending_inits: VecDeque<u32>,
+    init_head: usize,
     events_len: usize,
     steps: u64,
 }
@@ -1731,10 +1793,11 @@ impl Checkpoint {
         Checkpoint {
             alt_pc,
             alt_event,
-            shadow: state.shadow.clone(),
+            depth: state.shadow.len(),
+            mark: state.undo.len(),
             mtb_idx: state.mtb_idx,
             loop_idx: state.loop_idx,
-            pending_inits: state.pending_inits.clone(),
+            init_head: state.init_head,
             events_len: state.events.len(),
             steps: state.steps,
         }
@@ -1742,14 +1805,68 @@ impl Checkpoint {
 
     fn restore(self, state: &mut ReplayState) {
         state.pc = self.alt_pc;
-        state.shadow = self.shadow;
+        unwind(&mut state.shadow, &state.undo[self.mark..], self.depth);
+        state.undo.truncate(self.mark);
         state.mtb_idx = self.mtb_idx;
         state.loop_idx = self.loop_idx;
-        state.pending_inits = self.pending_inits;
+        state.init_head = self.init_head;
         state.events.truncate(self.events_len);
         state.events.push(self.alt_event);
         state.steps = self.steps;
     }
+}
+
+/// Appends one undo entry per frame, `frames[i]` at position `base + i`.
+fn log_frames(undo: &mut Vec<(u32, u32)>, base: usize, frames: &[u32]) {
+    let entries = frames.iter().enumerate();
+    undo.extend(entries.map(|(i, &value)| ((base + i) as u32, value)));
+}
+
+/// Rewinds `shadow` to the stack it was `depth` frames deep and `log`
+/// pops ago: resize, then write the logged values back newest first.
+/// The earliest pop of a position since then holds the value it had,
+/// and it is written last; positions at or above `depth` were pushed
+/// since and are skipped.
+fn unwind(shadow: &mut Vec<u32>, log: &[(u32, u32)], depth: usize) {
+    shadow.resize(depth, 0);
+    for &(pos, value) in log.iter().rev() {
+        if let Some(slot) = shadow.get_mut(pos as usize) {
+            *slot = value;
+        }
+    }
+}
+
+/// Bytes of capacity past which a replay buffer is freed when its
+/// session ends instead of kept for the thread's next round, so one
+/// forged round cannot leave its memory pinned to a worker.
+const SCRATCH_RETAIN_BYTES: usize = 1 << 20;
+
+/// `buf` emptied for reuse, or a fresh vector in its place when its
+/// capacity is past [`SCRATCH_RETAIN_BYTES`].
+fn recycle<T>(mut buf: Vec<T>) -> Vec<T> {
+    if buf.capacity() * std::mem::size_of::<T>() > SCRATCH_RETAIN_BYTES {
+        return Vec::new();
+    }
+    buf.clear();
+    buf
+}
+
+/// The replay's two growing buffers, kept per thread between rounds:
+/// [`Verifier::begin`] takes them and the session's `Drop` hands them
+/// back empty.
+#[derive(Debug, Default)]
+struct ReplayScratch {
+    checkpoints: Vec<Checkpoint>,
+    undo: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<ReplayScratch> = const {
+        Cell::new(ReplayScratch {
+            checkpoints: Vec::new(),
+            undo: Vec::new(),
+        })
+    };
 }
 
 /// Cap on cached macro variants per `(entry id, entry PC)` key:
@@ -1790,7 +1907,9 @@ struct DictMacro {
     end_tail: Vec<u32>,
     /// Loop records consumed by the span, in order.
     loops_used: Vec<u32>,
-    end_pending: VecDeque<u32>,
+    /// Pending inits at span exit: the last `end_pending` records of
+    /// `loops_used` (the span starts with none pending).
+    end_pending: usize,
     end_pc: u32,
     /// Checkpoints pushed inside the span, span-relative (forward-exit
     /// loop continues push one per iteration, so loop-heavy spans
@@ -1810,7 +1929,9 @@ struct MacroCheckpoint {
     shadow_tail: Vec<u32>,
     mtb_off: usize,
     loop_off: usize,
-    pending: VecDeque<u32>,
+    /// Offset of the checkpoint's `init_head`: its pending inits are
+    /// the loop records from here up to `loop_off`.
+    init_off: usize,
     events_off: usize,
     steps_off: u64,
 }

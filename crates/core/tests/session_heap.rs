@@ -1,5 +1,6 @@
 //! A verifier session's heap stays flat however many rounds it serves,
-//! and a verifier clone costs no heap at all.
+//! a verifier clone costs no heap at all, and a replay on a warm thread
+//! makes a bounded number of allocations however long its log.
 //!
 //! A fleet verifier audits each device continuously and keeps one
 //! session per device for as long as the device lives, so per-session
@@ -13,8 +14,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use armv8m_isa::{Asm, Reg};
-use rap_link::{link, LinkOptions};
-use rap_track::{device_key, Verifier, VerifierSession};
+use rap_link::{link, LinkOptions, LinkedProgram};
+use rap_track::{
+    device_key, Attestation, CfaEngine, Challenge, DictParams, EngineConfig, Report, SubPathDict,
+    Verifier, VerifierSession,
+};
 
 struct LiveBytes;
 
@@ -111,4 +115,102 @@ fn verifier_clone_allocates_nothing_on_every_workload() {
             w.name
         );
     }
+}
+
+/// Allocations one `Verifier::verify` call may make on a thread that
+/// has verified before: the spliced log, the path's event list and the
+/// shadow stack growing, the verdict. Checkpoints and the shadow undo
+/// log reuse the thread's buffers, so the count does not grow with the
+/// number of checkpoints a round pushes.
+const REPLAY_ALLOC_BUDGET: u64 = 40;
+
+fn attest(w: &workloads::Workload, linked: &LinkedProgram, engine: &CfaEngine) -> Attestation {
+    let mut machine = mcu_sim::Machine::new(linked.image.clone());
+    (w.attach)(&mut machine);
+    engine
+        .attest(
+            &mut machine,
+            &linked.map,
+            Challenge::from_seed(7),
+            EngineConfig {
+                watermark: Some(448),
+                max_instrs: w.max_instrs * 2,
+            },
+        )
+        .unwrap_or_else(|e| panic!("{}: attest: {e}", w.name))
+}
+
+/// `reports` with the MTB source at 99% of the log moved off its site,
+/// re-signed so the forgery reaches replay.
+fn forge_source_at_99(reports: &[Report], key: &[u8]) -> Vec<Report> {
+    let total: usize = reports.iter().map(|r| r.log.mtb.len()).sum();
+    let mut at = total * 99 / 100;
+    let mut forged = reports.to_vec();
+    for r in &mut forged {
+        if at >= r.log.mtb.len() {
+            at -= r.log.mtb.len();
+            continue;
+        }
+        let mut log = r.log.clone();
+        log.mtb[at].source ^= 2;
+        *r = Report::new(key, r.chal, r.h_mem, log, r.seq, r.is_final, r.overflow);
+        break;
+    }
+    forged
+}
+
+/// Allocations made by a second `verify` of `reports`; the first one
+/// warms the thread.
+fn verify_allocs(verifier: &Verifier, reports: &[Report]) -> u64 {
+    let chal = Challenge::from_seed(7);
+    let _ = verifier.verify(chal, reports);
+    let before = ALLOCS.with(Cell::get);
+    let _ = verifier.verify(chal, reports);
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Benign plain and dictionary rounds and a forged plain round, on
+/// every workload. Forged dictionary rounds are left out: a forgery
+/// arms many macro recordings, and an armed recording still copies the
+/// shadow stack.
+#[test]
+fn replay_allocations_stay_within_budget_on_every_workload() {
+    let key = device_key("budget");
+    let params = DictParams {
+        top_k: 32,
+        min_support: 3,
+        max_len: 16,
+    };
+    let mut over = Vec::new();
+    for w in workloads::all() {
+        let linked = link(&w.module, 0, LinkOptions::default()).expect("workload links");
+        let plain = attest(&w, &linked, &CfaEngine::new(key.clone()));
+        let h_mem = plain.reports.first().expect("reports").h_mem;
+        let dict = SubPathDict::mine(&plain.combined_log(), h_mem, w.name, params);
+        let engine = CfaEngine::new(key.clone()).with_dict(dict.entries().to_vec());
+        let compressed = attest(&w, &linked, &engine);
+        let builder = Verifier::builder()
+            .key(key.clone())
+            .image(linked.image.clone())
+            .map(linked.map.clone());
+        let plain_verifier = builder.clone().build().expect("builds");
+        let dict_verifier = builder.dict(dict).build().expect("builds");
+        let forged = forge_source_at_99(&plain.reports, &key);
+        let rounds = [
+            ("plain", &plain_verifier, &plain.reports),
+            ("dict", &dict_verifier, &compressed.reports),
+            ("forged plain", &plain_verifier, &forged),
+        ];
+        for (round, verifier, reports) in rounds {
+            let made = verify_allocs(verifier, reports);
+            if made > REPLAY_ALLOC_BUDGET {
+                over.push(format!("{} {round}: {made}", w.name));
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "verify calls over the {REPLAY_ALLOC_BUDGET}-allocation budget: {}",
+        over.join(", ")
+    );
 }

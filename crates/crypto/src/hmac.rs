@@ -28,14 +28,20 @@ pub fn verify_tag(expected: &Digest, actual: &Digest) -> bool {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// A keyed context holds the inner and the outer hash with their pad
+/// blocks already absorbed, so a clone MACs another message under the
+/// same key without spending a compression on the key: key a context
+/// once and clone it per message.
 #[derive(Debug, Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; 64],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
-    /// Creates a MAC context keyed with `key` (any length).
+    /// Creates a MAC context keyed with `key` (any length), hashing
+    /// both pad blocks.
     pub fn new(key: &[u8]) -> HmacSha256 {
         let mut block_key = [0u8; 64];
         if key.len() > 64 {
@@ -56,7 +62,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
+        let mut outer = Sha256::new();
+        outer.update(&opad_key);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message data.
@@ -67,8 +75,7 @@ impl HmacSha256 {
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -136,6 +143,28 @@ mod tests {
             mac.update(&msg[..9]);
             mac.update(&msg[9..]);
             assert_eq!(mac.finalize(), hmac_sha256(key, msg), "{backend}");
+        });
+    }
+
+    #[test]
+    fn keyed_clone_spends_no_compression_on_the_key() {
+        for_each_compressor(|backend| {
+            for key_len in [0, 20, 64, 131] {
+                let keyed = HmacSha256::new(&vec![0x0b; key_len]);
+                for len in 0..=200usize {
+                    let msg = vec![0x3c; len];
+                    let before = crate::compressions();
+                    let mut mac = keyed.clone();
+                    mac.update(&msg);
+                    let tag = mac.finalize();
+                    assert_eq!(
+                        crate::compressions() - before,
+                        (len as u64 + 9).div_ceil(64) + 1,
+                        "{backend}: key {key_len} len {len}"
+                    );
+                    assert_eq!(tag, hmac_sha256(&vec![0x0b; key_len], &msg), "{backend}");
+                }
+            }
         });
     }
 

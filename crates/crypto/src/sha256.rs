@@ -51,8 +51,10 @@ thread_local! {
 /// Every 64-byte block counts once, whichever compressor ran it, so the
 /// count depends only on what was hashed: [`sha256`] of `n` bytes costs
 /// ⌈(n + 9) / 64⌉ blocks, and `hmac_sha256` with a key of at most 64
-/// bytes costs three more. Price a call by the difference of two
-/// readings on one thread.
+/// bytes costs three more, two of them for the key's pad blocks, which
+/// a clone of a keyed [`HmacSha256`](crate::HmacSha256) does not
+/// repeat. Price a call by the difference of two readings on one
+/// thread.
 pub fn compressions() -> u64 {
     COMPRESSIONS.with(Cell::get)
 }

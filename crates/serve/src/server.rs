@@ -43,7 +43,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 use rap_audit::AuditLog;
@@ -534,12 +534,16 @@ struct Shared {
     audit: Option<Mutex<AuditLog>>,
 }
 
+/// The resumption-token MAC, keyed once with its constant domain key:
+/// every token clones it.
+static RESUME_MAC: LazyLock<HmacSha256> = LazyLock::new(|| HmacSha256::new(b"RAP-SERVE-RESUME"));
+
 /// Derives the resumption token for `(id, device)` under the server
 /// secret. The mac binds both, so a token presented with a different
 /// device name (or minted without the secret) fails validation.
 fn mint_token(secret: &[u8], id: u64, device: &str) -> ResumeToken {
     // HMAC(domain, secret ‖ id ‖ device), streamed: no message buffer.
-    let mut mac = HmacSha256::new(b"RAP-SERVE-RESUME");
+    let mut mac = RESUME_MAC.clone();
     mac.update(secret);
     mac.update(&id.to_le_bytes());
     mac.update(device.as_bytes());

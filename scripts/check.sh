@@ -33,11 +33,22 @@ run cargo run --release -q --example fleet_attestation
 run cargo run --release -q --example offline_inspection
 run cargo run --release -q --example syringe_audit
 
-# Fuzz smoke: a fixed-seed differential campaign (deterministic, so
-# any failure here reproduces locally from the printed case seed), and
-# the sabotage self-test proving the harness catches an injected MTB
+# Fuzz gate: a fixed-seed differential campaign (deterministic, so
+# any failure here reproduces locally from the printed case seed). Its
+# summary lands under target/ and must match the committed
+# FUZZ_summary.json byte for byte, so a change that moves any verdict
+# tally fails here instead of showing up only as a diff. Then the
+# sabotage self-test proving the harness catches an injected MTB
 # corruption (inverted semantics: exit 0 means the fault WAS caught).
-run cargo run --release -q -p rap-cli --bin rap -- fuzz --seed 1 --iters 200 --json "$PWD/FUZZ_summary.json"
+FUZZ_DIR="$PWD/target/fuzz"
+mkdir -p "$FUZZ_DIR"
+run cargo run --release -q -p rap-cli --bin rap -- fuzz --seed 1 --iters 200 --json "$FUZZ_DIR/FUZZ_summary.json"
+if ! cmp -s "$FUZZ_DIR/FUZZ_summary.json" "$PWD/FUZZ_summary.json"; then
+    diff "$PWD/FUZZ_summary.json" "$FUZZ_DIR/FUZZ_summary.json" >&2 || true
+    echo "fuzz gate: $FUZZ_DIR/FUZZ_summary.json differs from the committed $PWD/FUZZ_summary.json." >&2
+    echo "fuzz gate: copy it over the committed file only when the tally change is intended." >&2
+    exit 1
+fi
 run cargo run --release -q -p rap-cli --bin rap -- fuzz --seed 2 --iters 20 --sabotage
 
 # Bench smoke: reduced configurations, but they still exercise the
