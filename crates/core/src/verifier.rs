@@ -9,7 +9,6 @@
 //! address, a hijacked indirect call, a forged or truncated log —
 //! surfaces as a typed [`Violation`].
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -457,8 +456,6 @@ struct StatsTally {
     cache_misses: u64,
     cached_steps: u64,
     live_steps: u64,
-    rewinds: u64,
-    checkpoints: u64,
     /// Dictionary spans satisfied from the macro cache (bulk-applied
     /// without re-replaying the sub-path).
     dict_bulk_applies: u64,
@@ -811,8 +808,6 @@ impl Verifier {
         rap_obs::counter!("verifier_segment_builds_total").add(tally.cache_misses);
         rap_obs::counter!("verifier_replay_live_steps_total").add(tally.live_steps);
         rap_obs::counter!("verifier_replay_cached_steps_total").add(tally.cached_steps);
-        rap_obs::counter!("verifier_rewinds_total").add(tally.rewinds);
-        rap_obs::counter!("verifier_checkpoints_total").add(tally.checkpoints);
         rap_obs::counter!("verifier_dict_bulk_applies_total").add(tally.dict_bulk_applies);
         // Dynamic (labelled) names: resolved through the registry
         // directly, not the caching macro — rejection is rare.
@@ -922,15 +917,11 @@ impl Verifier {
             }
         }
 
-        let scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
         Ok(ReplaySession {
             verifier: self,
             mtb,
             loops,
-            state: ReplayState::new(self.inner.entry, scratch.undo),
-            checkpoints: scratch.checkpoints,
-            first_violation: None,
-            global_steps: 0,
+            state: ReplayState::new(self.inner.entry),
             spans,
             next_span: 0,
             recording: None,
@@ -1060,7 +1051,6 @@ impl Verifier {
         state: &mut ReplayState,
         mtb: &[trace_units::TraceEntry],
         loops: &[u32],
-        checkpoints: &mut Vec<Checkpoint>,
     ) -> Result<bool, Violation> {
         let pc = state.pc;
         state.steps += 1;
@@ -1109,7 +1099,8 @@ impl Verifier {
                             let e = state.take_mtb(mtb, pc)?;
                             expect_src(pc, e.source, site.src)?;
                             let expected = state
-                                .pop_shadow()
+                                .shadow
+                                .pop()
                                 .ok_or(Violation::ShadowStackUnderflow { site: pc })?;
                             if e.dest != expected {
                                 return Err(Violation::ReturnMismatch {
@@ -1188,13 +1179,9 @@ impl Verifier {
                             });
                         }
                     } else if front_matches {
-                        // Ambiguous: checkpoint the not-taken reading.
-                        checkpoints.push(Checkpoint::new(
-                            state,
-                            pc + size,
-                            PathEvent::CondNotTaken { site: pc },
-                        ));
-
+                        // A packet from this stub means taken: were the
+                        // quiet fall-through able to come back here,
+                        // rap-link would have logged both directions.
                         let e = state.take_mtb(mtb, pc)?;
                         expect_dest(pc, e.dest, taken)?;
                         state.events.push(PathEvent::CondTaken {
@@ -1248,13 +1235,9 @@ impl Verifier {
                         .get(state.mtb_idx)
                         .is_some_and(|e| e.source == fsite.src);
                     if continued {
-                        // Ambiguous the same way: checkpoint "taken".
-                        checkpoints.push(Checkpoint::new(
-                            state,
-                            dest,
-                            PathEvent::CondTaken { site: pc, dest },
-                        ));
-
+                        // A continue packet means one more iteration:
+                        // rap-link logs both directions wherever the
+                        // quiet exit could come back here.
                         state.events.push(PathEvent::CondNotTaken { site: pc });
                         state.pc = next_addr; // the B consumes the packet
                     } else {
@@ -1296,7 +1279,8 @@ impl Verifier {
                 // Untracked leaf return: deterministic via the shadow
                 // stack (§IV-C.2).
                 let dest = state
-                    .pop_shadow()
+                    .shadow
+                    .pop()
                     .ok_or(Violation::ShadowStackUnderflow { site: pc })?;
                 state.events.push(PathEvent::Return { site: pc, dest });
                 state.pc = dest;
@@ -1316,15 +1300,12 @@ impl Verifier {
 /// and spliced, and the binary is being replayed against it one
 /// scheduling quantum at a time.
 ///
-/// Replay semantics — why this is a *backtracking* parse: taken-
-/// conditional packets are ambiguous when the *next* logged event comes
-/// from the same stub but a later dynamic instance of the site (e.g. a
-/// recursive call whose inner conditional is taken while the outer one
-/// falls through). At each ambiguous decision the session prefers the
-/// "taken/continue" reading and records a checkpoint with the
-/// alternative applied; any later violation rewinds to the most recent
-/// checkpoint. A benign log always admits a consistent parse; an attack
-/// log admits none and the *first* violation is reported.
+/// Replay is a single forward pass. A taken-only conditional whose stub
+/// matches the front packet is read as taken, and a forward-exit loop
+/// whose continue stub matches as continued; the first violation ends
+/// the pass and is the verdict. That reading is never ambiguous because
+/// rap-link logs both directions of every site whose unlogged direction
+/// could reach the site again without logging anything (DESIGN.md §6).
 ///
 /// Deterministic stretches between log-consuming sites are bulk-applied
 /// from the verifier's shared segment table, so repeated loop iterations
@@ -1335,13 +1316,10 @@ pub struct ReplaySession<'v> {
     mtb: Vec<trace_units::TraceEntry>,
     loops: Vec<u32>,
     state: ReplayState,
-    checkpoints: Vec<Checkpoint>,
-    first_violation: Option<Violation>,
-    global_steps: u64,
     /// Dictionary-hit spans in the spliced `mtb`, in index order
     /// (empty for uncompressed streams — the hot path stays zero-cost).
     spans: Vec<HitSpan>,
-    /// First span not yet fully consumed by the current parse.
+    /// First span not yet fully consumed.
     next_span: usize,
     /// Live recording of the span currently being replayed, if any.
     recording: Option<Recording>,
@@ -1359,12 +1337,6 @@ impl Drop for ReplaySession<'_> {
         if let Some(tally) = self.tally.take() {
             self.verifier.commit_tally(&tally);
         }
-        // Hand the growing buffers back for the thread's next round.
-        let scratch = ReplayScratch {
-            checkpoints: recycle(std::mem::take(&mut self.checkpoints)),
-            undo: recycle(std::mem::take(&mut self.state.undo)),
-        };
-        let _ = SCRATCH.try_with(|slot| slot.set(scratch));
     }
 }
 
@@ -1374,7 +1346,7 @@ impl ReplaySession<'_> {
         self.state.pc
     }
 
-    /// Instructions replayed so far on the current parse.
+    /// Instructions replayed so far.
     pub fn steps(&self) -> u64 {
         self.state.steps
     }
@@ -1396,40 +1368,24 @@ impl ReplaySession<'_> {
         // Bulk-apply the deterministic stretch starting here. Tallies
         // are plain integers on the session and a warm table lookup
         // only reads, so the replay loop writes no shared cache line.
+        let max_steps = self.verifier.inner.max_steps;
         let tally = self.tally.as_mut().expect("session tally present");
         let segment = self.verifier.segment_at(self.state.pc, tally);
         if let Some(segment) = segment.filter(|s| s.steps > 0) {
             self.state.apply(segment);
-            self.global_steps += segment.steps;
             tally.cached_steps += segment.steps;
-            if self.global_steps > self.verifier.inner.max_steps {
-                return Some(Err(self
-                    .first_violation
-                    .take()
-                    .unwrap_or(Violation::BudgetExceeded)));
+            if self.state.steps > max_steps {
+                return Some(Err(Violation::BudgetExceeded));
             }
         }
 
-        // Replay the non-deterministic (or terminal) head live.
-        self.global_steps += 1;
+        // Replay the non-deterministic (or terminal) head live, charging
+        // its step to the budget before it runs.
         tally.live_steps += 1;
-        if self.global_steps > self.verifier.inner.max_steps {
-            return Some(Err(self
-                .first_violation
-                .take()
-                .unwrap_or(Violation::BudgetExceeded)));
+        if self.state.steps >= max_steps {
+            return Some(Err(Violation::BudgetExceeded));
         }
-        let checkpoints_before = self.checkpoints.len();
-        let outcome = self.verifier.step(
-            &mut self.state,
-            &self.mtb,
-            &self.loops,
-            &mut self.checkpoints,
-        );
-        let new_checkpoints = self.checkpoints.len().saturating_sub(checkpoints_before) as u64;
-        if let Some(tally) = self.tally.as_mut() {
-            tally.checkpoints += new_checkpoints;
-        }
+        let outcome = self.verifier.step(&mut self.state, &self.mtb, &self.loops);
         if let Some(rec) = self.recording.as_mut() {
             // Track the deepest shadow truncation inside the span: the
             // macro's precondition pins exactly the frames a replay of
@@ -1448,36 +1404,13 @@ impl ReplaySession<'_> {
                         steps: self.state.steps,
                     }));
                 }
-                self.backtrack(Violation::TrailingLog {
+                Some(Err(Violation::TrailingLog {
                     mtb_left,
                     loops_left,
-                })
+                }))
             }
             Ok(false) => None,
-            Err(v) => self.backtrack(v),
-        }
-    }
-
-    /// Rewinds to the most recent checkpoint, or finishes with the
-    /// first violation when no alternative reading remains.
-    fn backtrack(&mut self, v: Violation) -> Option<Result<VerifiedPath, Violation>> {
-        self.first_violation.get_or_insert(v.clone());
-        match self.checkpoints.pop() {
-            Some(alt) => {
-                if let Some(tally) = self.tally.as_mut() {
-                    tally.rewinds += 1;
-                }
-                rap_obs::event("rewind", alt.alt_pc as u64, self.checkpoints.len() as u64);
-                alt.restore(&mut self.state);
-                // The rewind may land before (or inside) dictionary
-                // spans: the in-flight recording's deltas are no longer
-                // contiguous, and the span cursor must follow the log
-                // position backwards.
-                self.recording = None;
-                self.next_span = self.spans.partition_point(|s| s.end <= self.state.mtb_idx);
-                None
-            }
-            None => Some(Err(self.first_violation.take().unwrap_or(v))),
+            Err(v) => Some(Err(v)),
         }
     }
 
@@ -1495,7 +1428,7 @@ impl ReplaySession<'_> {
             self.next_span += 1;
         }
         // A recording is complete once its span's last transfer has
-        // been consumed on the current (never-rewound) parse.
+        // been consumed.
         if let Some(rec) = &self.recording {
             if self.state.mtb_idx >= self.spans[rec.span].end {
                 self.finish_recording();
@@ -1506,17 +1439,14 @@ impl ReplaySession<'_> {
                 break;
             };
             if span.start != self.state.mtb_idx {
-                break; // not there yet, or mid-span after a rewind
+                break; // not there yet, or replaying it unrecorded
             }
             let (cached, room) = self.probe_macros(span.id);
             if let Some(m) = cached {
                 self.apply_macro(&m, span);
                 self.next_span += 1;
-                if self.global_steps > self.verifier.inner.max_steps {
-                    return Some(Err(self
-                        .first_violation
-                        .take()
-                        .unwrap_or(Violation::BudgetExceeded)));
+                if self.state.steps > self.verifier.inner.max_steps {
+                    return Some(Err(Violation::BudgetExceeded));
                 }
                 continue;
             }
@@ -1529,7 +1459,6 @@ impl ReplaySession<'_> {
                     start_shadow: self.state.shadow.clone(),
                     min_depth: self.state.shadow.len(),
                     start_loop_idx: self.state.loop_idx,
-                    start_checkpoints: self.checkpoints.len(),
                 });
             }
             break;
@@ -1568,37 +1497,13 @@ impl ReplaySession<'_> {
             && self.loops[self.state.loop_idx..].starts_with(&m.loops_used)
     }
 
-    /// Bulk-applies a recorded macro: splices the span's events, shadow
-    /// / loop / pending deltas and in-span checkpoints exactly as the
-    /// live replay that recorded it would have produced them.
-    ///
-    /// Each in-span checkpoint gets an undo block instead of a shadow
-    /// copy: its mark is the log length before `(keep + i,
-    /// shadow_tail[i])` entries are appended, so a restore rebuilds
-    /// `shadow[..keep] ++ shadow_tail`. The dropped suffix is logged
-    /// first, so checkpoints older than the span still rewind past it.
+    /// Bulk-applies a recorded macro: splices the span's events and
+    /// its shadow / loop / pending deltas exactly as the live replay
+    /// that recorded it would have produced them.
     fn apply_macro(&mut self, m: &DictMacro, span: HitSpan) {
         let state = &mut self.state;
         let keep = state.shadow.len() - m.required_suffix.len();
-        let base_mtb = state.mtb_idx;
-        let base_loop = state.loop_idx;
-        let base_events = state.events.len();
-        let base_steps = state.steps;
-        state.truncate_shadow(keep);
-        for mc in &m.checkpoints {
-            self.checkpoints.push(Checkpoint {
-                alt_pc: mc.alt_pc,
-                alt_event: mc.alt_event,
-                depth: keep + mc.shadow_tail.len(),
-                mark: state.undo.len(),
-                mtb_idx: base_mtb + mc.mtb_off,
-                loop_idx: base_loop + mc.loop_off,
-                init_head: base_loop + mc.init_off,
-                events_len: base_events + mc.events_off,
-                steps: base_steps + mc.steps_off,
-            });
-            log_frames(&mut state.undo, keep, &mc.shadow_tail);
-        }
+        state.shadow.truncate(keep);
         state.events.extend_from_slice(&m.events);
         state.shadow.extend_from_slice(&m.end_tail);
         state.steps += m.steps;
@@ -1606,10 +1511,8 @@ impl ReplaySession<'_> {
         state.loop_idx += m.loops_used.len();
         state.init_head = state.loop_idx - m.end_pending;
         state.pc = m.end_pc;
-        self.global_steps += m.steps;
         let tally = self.tally.as_mut().expect("session tally present");
         tally.cached_steps += m.steps;
-        tally.checkpoints += m.checkpoints.len() as u64;
         tally.dict_bulk_applies += 1;
         rap_obs::event("dict_bulk_apply", span.id as u64, m.steps);
     }
@@ -1624,27 +1527,6 @@ impl ReplaySession<'_> {
         let span = self.spans[rec.span];
         let min_depth = rec.min_depth;
         let state = &self.state;
-        // Rebuild each in-span checkpoint's shadow, newest first, by
-        // unwinding a copy of the live stack one checkpoint at a time.
-        let in_span = &self.checkpoints[rec.start_checkpoints..];
-        let mut checkpoints = Vec::with_capacity(in_span.len());
-        let mut shadow = state.shadow.clone();
-        let mut log_end = state.undo.len();
-        for cp in in_span.iter().rev() {
-            unwind(&mut shadow, &state.undo[cp.mark..log_end], cp.depth);
-            log_end = cp.mark;
-            checkpoints.push(MacroCheckpoint {
-                alt_pc: cp.alt_pc,
-                alt_event: cp.alt_event,
-                shadow_tail: shadow[min_depth..].to_vec(),
-                mtb_off: cp.mtb_idx - span.start,
-                loop_off: cp.loop_idx - rec.start_loop_idx,
-                init_off: cp.init_head - rec.start_loop_idx,
-                events_off: cp.events_len - rec.start_events,
-                steps_off: cp.steps - rec.start_steps,
-            });
-        }
-        checkpoints.reverse();
         let built = DictMacro {
             steps: state.steps - rec.start_steps,
             events: state.events[rec.start_events..].to_vec(),
@@ -1653,7 +1535,6 @@ impl ReplaySession<'_> {
             loops_used: self.loops[rec.start_loop_idx..state.loop_idx].to_vec(),
             end_pending: state.loop_idx - state.init_head,
             end_pc: state.pc,
-            checkpoints,
         };
         let mut map = self
             .verifier
@@ -1691,17 +1572,12 @@ impl ReplaySession<'_> {
     }
 }
 
-/// Replay state (checkpointed at ambiguous decisions).
+/// Where the replay stands: in the binary, on the shadow call stack
+/// and in the log.
 #[derive(Debug)]
 struct ReplayState {
     pc: u32,
     shadow: Vec<u32>,
-    /// Shadow undo log: one `(position, value)` entry per popped frame.
-    /// Pushes log nothing; a [`Checkpoint`] rewinds the stack by
-    /// replaying the entries after its mark backwards. Positions fit in
-    /// `u32`: a deeper stack would itself hold 16 GiB, and the default
-    /// step budget stops replay 40 times shallower.
-    undo: Vec<(u32, u32)>,
     mtb_idx: usize,
     /// Loop records read by `LOG_LOOP_COND` gateways.
     loop_idx: usize,
@@ -1714,11 +1590,10 @@ struct ReplayState {
 }
 
 impl ReplayState {
-    fn new(entry: u32, undo: Vec<(u32, u32)>) -> ReplayState {
+    fn new(entry: u32) -> ReplayState {
         ReplayState {
             pc: entry,
             shadow: Vec::new(),
-            undo,
             mtb_idx: 0,
             loop_idx: 0,
             init_head: 0,
@@ -1730,19 +1605,6 @@ impl ReplayState {
     /// Whether every loop record read so far has been used as an init.
     fn no_pending_inits(&self) -> bool {
         self.init_head == self.loop_idx
-    }
-
-    /// Pops a shadow frame, logging it for rewinds.
-    fn pop_shadow(&mut self) -> Option<u32> {
-        let value = self.shadow.pop()?;
-        self.undo.push((self.shadow.len() as u32, value));
-        Some(value)
-    }
-
-    /// Drops the shadow frames at and above `depth`, logging each.
-    fn truncate_shadow(&mut self, depth: usize) {
-        log_frames(&mut self.undo, depth, &self.shadow[depth..]);
-        self.shadow.truncate(depth);
     }
 
     /// Bulk-applies a cached deterministic stretch.
@@ -1765,108 +1627,6 @@ impl ReplayState {
         self.mtb_idx += 1;
         Ok(e)
     }
-}
-
-/// A rewind point for the backtracking parse: everything needed to
-/// resume with the alternative reading of one ambiguous decision, in a
-/// few scalars. The event list is truncated and the shadow stack
-/// unwound from the undo log on restore.
-#[derive(Debug, Clone, Copy)]
-struct Checkpoint {
-    /// PC to resume at under the alternative reading.
-    alt_pc: u32,
-    /// Event recorded for the alternative reading.
-    alt_event: PathEvent,
-    /// Shadow depth.
-    depth: usize,
-    /// Undo-log length.
-    mark: usize,
-    mtb_idx: usize,
-    loop_idx: usize,
-    init_head: usize,
-    events_len: usize,
-    steps: u64,
-}
-
-impl Checkpoint {
-    fn new(state: &ReplayState, alt_pc: u32, alt_event: PathEvent) -> Checkpoint {
-        Checkpoint {
-            alt_pc,
-            alt_event,
-            depth: state.shadow.len(),
-            mark: state.undo.len(),
-            mtb_idx: state.mtb_idx,
-            loop_idx: state.loop_idx,
-            init_head: state.init_head,
-            events_len: state.events.len(),
-            steps: state.steps,
-        }
-    }
-
-    fn restore(self, state: &mut ReplayState) {
-        state.pc = self.alt_pc;
-        unwind(&mut state.shadow, &state.undo[self.mark..], self.depth);
-        state.undo.truncate(self.mark);
-        state.mtb_idx = self.mtb_idx;
-        state.loop_idx = self.loop_idx;
-        state.init_head = self.init_head;
-        state.events.truncate(self.events_len);
-        state.events.push(self.alt_event);
-        state.steps = self.steps;
-    }
-}
-
-/// Appends one undo entry per frame, `frames[i]` at position `base + i`.
-fn log_frames(undo: &mut Vec<(u32, u32)>, base: usize, frames: &[u32]) {
-    let entries = frames.iter().enumerate();
-    undo.extend(entries.map(|(i, &value)| ((base + i) as u32, value)));
-}
-
-/// Rewinds `shadow` to the stack it was `depth` frames deep and `log`
-/// pops ago: resize, then write the logged values back newest first.
-/// The earliest pop of a position since then holds the value it had,
-/// and it is written last; positions at or above `depth` were pushed
-/// since and are skipped.
-fn unwind(shadow: &mut Vec<u32>, log: &[(u32, u32)], depth: usize) {
-    shadow.resize(depth, 0);
-    for &(pos, value) in log.iter().rev() {
-        if let Some(slot) = shadow.get_mut(pos as usize) {
-            *slot = value;
-        }
-    }
-}
-
-/// Bytes of capacity past which a replay buffer is freed when its
-/// session ends instead of kept for the thread's next round, so one
-/// forged round cannot leave its memory pinned to a worker.
-const SCRATCH_RETAIN_BYTES: usize = 1 << 20;
-
-/// `buf` emptied for reuse, or a fresh vector in its place when its
-/// capacity is past [`SCRATCH_RETAIN_BYTES`].
-fn recycle<T>(mut buf: Vec<T>) -> Vec<T> {
-    if buf.capacity() * std::mem::size_of::<T>() > SCRATCH_RETAIN_BYTES {
-        return Vec::new();
-    }
-    buf.clear();
-    buf
-}
-
-/// The replay's two growing buffers, kept per thread between rounds:
-/// [`Verifier::begin`] takes them and the session's `Drop` hands them
-/// back empty.
-#[derive(Debug, Default)]
-struct ReplayScratch {
-    checkpoints: Vec<Checkpoint>,
-    undo: Vec<(u32, u32)>,
-}
-
-thread_local! {
-    static SCRATCH: Cell<ReplayScratch> = const {
-        Cell::new(ReplayScratch {
-            checkpoints: Vec::new(),
-            undo: Vec::new(),
-        })
-    };
 }
 
 /// Cap on cached macro variants per `(entry id, entry PC)` key:
@@ -1892,8 +1652,7 @@ struct HitSpan {
 /// frames the span pops — pinned by `required_suffix`, and (c) the loop
 /// records it consumes — pinned by `loops_used`. With those
 /// preconditions matched and no pending inits, a live replay from the
-/// same entry PC is deterministic, so splicing the recorded deltas
-/// (including the checkpoints a later backtrack could restore) is
+/// same entry PC is deterministic, so splicing the recorded deltas is
 /// indistinguishable from re-walking the span instruction by
 /// instruction.
 #[derive(Debug, PartialEq)]
@@ -1911,29 +1670,6 @@ struct DictMacro {
     /// `loops_used` (the span starts with none pending).
     end_pending: usize,
     end_pc: u32,
-    /// Checkpoints pushed inside the span, span-relative (forward-exit
-    /// loop continues push one per iteration, so loop-heavy spans
-    /// always carry some — aborting on them would forfeit the speedup
-    /// exactly where it matters).
-    checkpoints: Vec<MacroCheckpoint>,
-}
-
-/// A [`Checkpoint`] in span-relative form: offsets are added to the
-/// span-entry position, and the shadow below the span's minimum depth
-/// (untouched by the span, so identical at apply time) is dropped.
-#[derive(Debug, PartialEq)]
-struct MacroCheckpoint {
-    alt_pc: u32,
-    alt_event: PathEvent,
-    /// Shadow frames above the preserved prefix at checkpoint time.
-    shadow_tail: Vec<u32>,
-    mtb_off: usize,
-    loop_off: usize,
-    /// Offset of the checkpoint's `init_head`: its pending inits are
-    /// the loop records from here up to `loop_off`.
-    init_off: usize,
-    events_off: usize,
-    steps_off: u64,
 }
 
 /// Bookkeeping for a span being replayed live for the first time.
@@ -1951,7 +1687,6 @@ struct Recording {
     /// precondition.
     min_depth: usize,
     start_loop_idx: usize,
-    start_checkpoints: usize,
 }
 
 fn resolve(target: &Target) -> u32 {

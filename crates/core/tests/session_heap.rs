@@ -119,9 +119,7 @@ fn verifier_clone_allocates_nothing_on_every_workload() {
 
 /// Allocations one `Verifier::verify` call may make on a thread that
 /// has verified before: the spliced log, the path's event list and the
-/// shadow stack growing, the verdict. Checkpoints and the shadow undo
-/// log reuse the thread's buffers, so the count does not grow with the
-/// number of checkpoints a round pushes.
+/// shadow stack growing, the verdict.
 const REPLAY_ALLOC_BUDGET: u64 = 40;
 
 fn attest(w: &workloads::Workload, linked: &LinkedProgram, engine: &CfaEngine) -> Attestation {
@@ -169,10 +167,7 @@ fn verify_allocs(verifier: &Verifier, reports: &[Report]) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// Benign plain and dictionary rounds and a forged plain round, on
-/// every workload. Forged dictionary rounds are left out: a forgery
-/// arms many macro recordings, and an armed recording still copies the
-/// shadow stack.
+/// Benign and forged rounds, plain and dictionary, on every workload.
 #[test]
 fn replay_allocations_stay_within_budget_on_every_workload() {
     let key = device_key("budget");
@@ -196,10 +191,12 @@ fn replay_allocations_stay_within_budget_on_every_workload() {
         let plain_verifier = builder.clone().build().expect("builds");
         let dict_verifier = builder.dict(dict).build().expect("builds");
         let forged = forge_source_at_99(&plain.reports, &key);
+        let forged_dict = forge_source_at_99(&compressed.reports, &key);
         let rounds = [
             ("plain", &plain_verifier, &plain.reports),
             ("dict", &dict_verifier, &compressed.reports),
             ("forged plain", &plain_verifier, &forged),
+            ("forged dict", &dict_verifier, &forged_dict),
         ];
         for (round, verifier, reports) in rounds {
             let made = verify_allocs(verifier, reports);

@@ -21,7 +21,7 @@ use crate::json::Json;
 pub struct TraceEvent {
     /// Nanoseconds since the collector was first enabled.
     pub ts_ns: u64,
-    /// Static event kind (e.g. `"segment_build"`, `"rewind"`).
+    /// Static event kind (e.g. `"segment_build"`, `"dict_bulk_apply"`).
     pub kind: &'static str,
     /// First payload word (site-defined; spans store the start time).
     pub a: u64,

@@ -49,6 +49,12 @@ if ! cmp -s "$FUZZ_DIR/FUZZ_summary.json" "$PWD/FUZZ_summary.json"; then
     echo "fuzz gate: copy it over the committed file only when the tally change is intended." >&2
     exit 1
 fi
+# Completeness campaign: replay is a single pass that trusts the
+# linker's quiet-cycle analysis (DESIGN.md §6 item 1), so a site the
+# analysis misses rejects a benign run. The replay-fidelity oracle
+# fails any generated benign program the verifier rejects; 2 000
+# programs sample far more layouts than the 200 above.
+run cargo run --release -q -p rap-cli --bin rap -- fuzz --seed 3 --iters 2000
 run cargo run --release -q -p rap-cli --bin rap -- fuzz --seed 2 --iters 20 --sabotage
 
 # Bench smoke: reduced configurations, but they still exercise the
