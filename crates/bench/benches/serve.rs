@@ -13,8 +13,11 @@
 //! challenge only re-signs the recorded log (only the HMAC binds the
 //! challenge), so per-round verify cost is tiny and the measured
 //! difference isolates per-connection protocol overhead — TCP setup,
-//! the accept-loop poll interval, handshake round-trips and session
-//! setup — which is exactly what pipelining and resumption eliminate.
+//! the accept and hand-off to a worker, handshake round-trips and
+//! session setup — which is exactly what pipelining and resumption
+//! eliminate. A pipelined client also batches its frames: the
+//! write-ahead burst is one write, and each read takes every verdict
+//! the server flushed at once.
 //!
 //! Overloaded connects are shed with `ERROR busy` server-side; the
 //! client's bounded retry absorbs them, so shed load shows up as tail
@@ -23,7 +26,9 @@
 //! * `--quick` runs clients {1, 8} with fewer rounds;
 //! * `--json <path>` writes `BENCH_serve.json` with
 //!   `verifications_per_sec` and client-observed `p99_round_ns` per
-//!   case (plus `host_cores` at the top level);
+//!   case, plus `host_cores` and the gate's ratio
+//!   `pipelined_over_oneshot_8` at the top level. It is written before
+//!   any gate decides, so a failed gate leaves its numbers behind;
 //! * `--enforce` exits non-zero unless pipelined throughput at 8
 //!   clients is at least [`MIN_PIPELINE_SPEEDUP_8`]× the oneshot
 //!   figure — the loopback target the connection rework is gated on.
@@ -301,6 +306,7 @@ fn main() {
     // the baseline (enforced only on hosts with enough cores that the
     // scraper thread is not stealing the load generator's CPU).
     let mut admin_per_sec = Vec::new();
+    let mut admin_overhead_pct = None;
     for (case, with_admin) in [("pipelined_8_base", false), ("pipelined_8_admin", true)] {
         let server = Server::start(
             bench_verifier(&linked),
@@ -372,20 +378,7 @@ fn main() {
                      ({base:.0} -> {per_sec:.0} verifications/s)"
                 );
                 extras.push(("admin_scrape_overhead_pct", Json::Num(overhead_pct)));
-                // On small hosts the scraper competes with the load
-                // generator for cores and the comparison measures the
-                // scheduler, not the server; only gate where the
-                // signal is real.
-                if args.enforce
-                    && rap_bench::harness::host_cores() >= 4
-                    && overhead_pct > MAX_ADMIN_OVERHEAD_PCT
-                {
-                    eprintln!(
-                        "FAIL: admin scraping costs {overhead_pct:.2}% pipelined throughput, \
-                         above the {MAX_ADMIN_OVERHEAD_PCT}% gate"
-                    );
-                    std::process::exit(1);
-                }
+                admin_overhead_pct = Some(overhead_pct);
             }
             report.record_with(&format!("serve/{case}"), stats, extras);
             admin_per_sec.push(per_sec);
@@ -396,26 +389,52 @@ fn main() {
     }
 
     let throughput = |name: &str| rows.iter().find(|(c, ..)| c == name).map(|(_, _, t, _)| *t);
-    if let (Some(oneshot), Some(pipelined)) = (throughput("oneshot_8"), throughput("pipelined_8")) {
-        let ratio = pipelined / oneshot;
+    let ratio = match (throughput("oneshot_8"), throughput("pipelined_8")) {
+        (Some(oneshot), Some(pipelined)) => Some(pipelined / oneshot),
+        _ => None,
+    };
+    if let Some(ratio) = ratio {
         println!("pipelined_8 / oneshot_8 throughput: {ratio:.2}x");
-        if args.enforce && ratio < MIN_PIPELINE_SPEEDUP_8 {
+        report.field("pipelined_over_oneshot_8", Json::Num(ratio));
+    }
+
+    // The JSON lands before any gate decides, so a failed gate still
+    // leaves the numbers behind it.
+    if let Some(path) = &args.json_out {
+        report.write(path).expect("write bench json");
+        println!("wrote {path}");
+    }
+    if !args.enforce {
+        return;
+    }
+    let mut failed = false;
+    // On small hosts the scraper competes with the load generator for
+    // cores and the comparison measures the scheduler, not the server;
+    // only gate where the signal is real.
+    if let Some(overhead_pct) = admin_overhead_pct {
+        if rap_bench::harness::host_cores() >= 4 && overhead_pct > MAX_ADMIN_OVERHEAD_PCT {
+            eprintln!(
+                "FAIL: admin scraping costs {overhead_pct:.2}% pipelined throughput, \
+                 above the {MAX_ADMIN_OVERHEAD_PCT}% gate"
+            );
+            failed = true;
+        }
+    }
+    match ratio {
+        Some(ratio) if ratio < MIN_PIPELINE_SPEEDUP_8 => {
             eprintln!(
                 "FAIL: pipelined throughput at 8 clients is {ratio:.2}x oneshot, \
                  below the {MIN_PIPELINE_SPEEDUP_8}x gate"
             );
-            std::process::exit(1);
+            failed = true;
         }
-        if args.enforce {
-            println!("gate: pipelined_8 >= {MIN_PIPELINE_SPEEDUP_8}x oneshot_8 — ok");
+        Some(_) => println!("gate: pipelined_8 >= {MIN_PIPELINE_SPEEDUP_8}x oneshot_8 — ok"),
+        None => {
+            eprintln!("FAIL: --enforce needs the 8-client oneshot and pipelined cases");
+            failed = true;
         }
-    } else if args.enforce {
-        eprintln!("FAIL: --enforce needs the 8-client oneshot and pipelined cases");
-        std::process::exit(1);
     }
-
-    if let Some(path) = &args.json_out {
-        report.write(path).expect("write bench json");
-        println!("wrote {path}");
+    if failed {
+        std::process::exit(1);
     }
 }

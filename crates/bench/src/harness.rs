@@ -106,6 +106,7 @@ impl BenchArgs {
 #[derive(Debug, Default)]
 pub struct BenchReport {
     cases: Vec<ReportCase>,
+    fields: Vec<(String, Json)>,
 }
 
 /// One recorded case: id, summary stats, and extra JSON fields merged
@@ -134,29 +135,36 @@ impl BenchReport {
         ));
     }
 
+    /// Adds a top-level field beside `host_cores`, such as the figure a
+    /// gate decides on.
+    pub fn field(&mut self, key: &str, value: Json) {
+        self.fields.push((key.to_owned(), value));
+    }
+
     /// Serializes every recorded case, alongside the machine's core
     /// count — a scaling figure is meaningless without knowing how
-    /// much parallelism the host actually had.
+    /// much parallelism the host actually had — and the top-level
+    /// fields.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("host_cores", Json::Uint(host_cores() as u64)),
-            (
-                "cases",
-                Json::Obj(
-                    self.cases
-                        .iter()
-                        .map(|(id, stats, extras)| {
-                            let mut case = match stats.to_json() {
-                                Json::Obj(entries) => entries,
-                                _ => unreachable!("Stats::to_json returns an object"),
-                            };
-                            case.extend(extras.iter().cloned());
-                            (id.clone(), Json::Obj(case))
-                        })
-                        .collect(),
-                ),
+        let mut top = vec![("host_cores".to_owned(), Json::Uint(host_cores() as u64))];
+        top.extend(self.fields.iter().cloned());
+        top.push((
+            "cases".to_owned(),
+            Json::Obj(
+                self.cases
+                    .iter()
+                    .map(|(id, stats, extras)| {
+                        let mut case = match stats.to_json() {
+                            Json::Obj(entries) => entries,
+                            _ => unreachable!("Stats::to_json returns an object"),
+                        };
+                        case.extend(extras.iter().cloned());
+                        (id.clone(), Json::Obj(case))
+                    })
+                    .collect(),
             ),
-        ])
+        ));
+        Json::Obj(top)
     }
 
     /// Writes the report to `path` as pretty-printed JSON.
@@ -308,6 +316,15 @@ mod tests {
         let case = doc.get("cases").and_then(|c| c.get("t/extra")).unwrap();
         assert!(case.get("median_ns").is_some());
         assert_eq!(case.get("speedup_vs_1").and_then(Json::as_f64), Some(2.5));
+    }
+
+    #[test]
+    fn fields_land_beside_host_cores() {
+        let mut report = BenchReport::default();
+        report.field("gate_ratio", Json::Num(3.5));
+        let doc = rap_obs::json::parse(&report.to_json().to_compact()).unwrap();
+        assert_eq!(doc.get("gate_ratio").and_then(Json::as_f64), Some(3.5));
+        assert!(doc.get("host_cores").is_some() && doc.get("cases").is_some());
     }
 
     #[test]

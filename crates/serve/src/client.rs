@@ -21,8 +21,8 @@ use std::time::Duration;
 use rap_track::{encode_stream, Challenge, Report};
 
 use crate::frame::{
-    decode_challenge, decode_error, decode_session, encode_hello, encode_resume, read_frame,
-    write_frame, ErrorCode, FrameError, FrameType, ReadFrameError, ResumeToken, Verdict,
+    decode_challenge, decode_error, decode_session, encode_frame_into, encode_hello, encode_resume,
+    write_frame, ErrorCode, FrameBuf, FrameError, FrameType, ReadFrameError, ResumeToken, Verdict,
     DEFAULT_MAX_FRAME_LEN,
 };
 
@@ -168,6 +168,23 @@ pub struct Connection {
     max_frame_len: u32,
     grant: Option<(ResumeToken, u16)>,
     pending: VecDeque<Challenge>,
+    /// Received bytes not yet decoded: one `read` takes a whole server
+    /// flush, however many frames it holds.
+    inbuf: FrameBuf,
+}
+
+/// The client's receive-buffer chunk. A server flush of a full window
+/// (8 VERDICT + CHALLENGE pairs) is about 520 bytes.
+const RECV_CHUNK: usize = 4096;
+
+/// What [`Connection::take_frame`] made of one frame.
+enum Taken {
+    /// A `VERDICT`, decoded.
+    Verdict(Verdict),
+    /// A `SESSION` grant (stored) or a `CHALLENGE` (queued).
+    Stored,
+    /// Nothing was buffered and the call was not allowed to read.
+    Empty,
 }
 
 impl AttestClient {
@@ -279,6 +296,7 @@ impl AttestClient {
             max_frame_len: self.config.max_frame_len,
             grant: None,
             pending: VecDeque::new(),
+            inbuf: FrameBuf::new(RECV_CHUNK),
         };
         conn.pending.reserve(self.config.window as usize);
         opener(&mut conn)?;
@@ -323,6 +341,11 @@ impl Connection {
     /// flight: an initial burst of ATTEST frames, then one new ATTEST
     /// per VERDICT received. Verdicts come back in round order.
     ///
+    /// Frames are batched both ways: the write-ahead burst goes out in
+    /// one write, and every VERDICT that one read delivered is taken
+    /// before the ATTESTs answering their replacement challenges go
+    /// out, again in one write.
+    ///
     /// # Errors
     ///
     /// As [`Connection::round`]; on error, in-flight rounds are lost.
@@ -332,30 +355,35 @@ impl Connection {
         mut respond: impl FnMut(Challenge) -> Vec<Report>,
     ) -> Result<Vec<Verdict>, ClientError> {
         let mut verdicts = Vec::with_capacity(rounds);
+        let mut burst = Vec::new();
         let mut sent = 0usize;
-        // Write-ahead burst: one ATTEST per challenge the handshake
-        // granted (bounded by the number of rounds requested). The
-        // granted window is unknown until the first read consumes the
-        // SESSION grant, so the bound is re-checked per iteration.
-        while sent < rounds && sent < self.granted_window().max(1) as usize {
-            let chal = self.next_challenge()?;
-            write_frame(
-                &mut self.stream,
-                FrameType::Attest,
-                &encode_stream(&respond(chal)),
-            )?;
-            sent += 1;
-        }
         while verdicts.len() < rounds {
-            verdicts.push(self.read_verdict()?);
-            if sent < rounds {
+            // Fill the window. The granted window is unknown until the
+            // first read consumes the SESSION grant, so the bound is
+            // re-checked per ATTEST. Every challenge this waits for is
+            // already on its way: the handshake grants a window of
+            // them, and each VERDICT is followed by its replacement.
+            while sent < rounds && sent - verdicts.len() < usize::from(self.granted_window().max(1))
+            {
                 let chal = self.next_challenge()?;
-                write_frame(
-                    &mut self.stream,
+                encode_frame_into(
+                    &mut burst,
                     FrameType::Attest,
                     &encode_stream(&respond(chal)),
-                )?;
+                );
                 sent += 1;
+            }
+            if !burst.is_empty() {
+                self.stream.write_all(&burst)?;
+                burst.clear();
+            }
+            verdicts.push(self.read_verdict()?);
+            while verdicts.len() < sent {
+                match self.take_frame(false, "expected VERDICT")? {
+                    Taken::Verdict(verdict) => verdicts.push(verdict),
+                    Taken::Stored => {}
+                    Taken::Empty => break,
+                }
             }
         }
         Ok(verdicts)
@@ -382,7 +410,7 @@ impl Connection {
     /// immediate [`AttestClient::resume`] with the token succeeds.
     pub fn close(mut self) -> Option<ResumeToken> {
         let _ = self.stream.shutdown(std::net::Shutdown::Write);
-        while let Ok(Some(_)) = read_frame(&mut self.stream, self.max_frame_len) {}
+        while let Ok(Some(_)) = self.inbuf.read_frame(&mut self.stream, self.max_frame_len) {}
         self.grant.map(|(token, _)| token)
     }
 
@@ -404,59 +432,70 @@ impl Connection {
     /// failures as their own variants.
     pub fn read_next(&mut self) -> Result<(FrameType, Vec<u8>), ClientError> {
         loop {
-            let (ft, payload) = self.expect_frame()?;
+            let (ft, payload) = self
+                .inbuf
+                .read_frame(&mut self.stream, self.max_frame_len)?
+                .ok_or(ClientError::Protocol("server closed the connection"))?;
             if ft == FrameType::Session && self.grant.is_none() {
-                let grant = decode_session(&payload)?;
+                let grant = decode_session(payload)?;
                 self.grant = Some((grant.token, grant.window));
                 continue;
             }
-            return Ok((ft, payload));
+            return Ok((ft, payload.to_vec()));
         }
     }
 
-    /// The next challenge: buffered first, then read from the stream
+    /// The next challenge: queued first, then read from the stream
     /// (consuming the `SESSION` grant if it has not arrived yet).
     fn next_challenge(&mut self) -> Result<Challenge, ClientError> {
-        if let Some(chal) = self.pending.pop_front() {
-            return Ok(chal);
-        }
         loop {
-            match self.expect_frame()? {
-                (FrameType::Session, payload) => {
-                    let grant = decode_session(&payload)?;
-                    self.grant = Some((grant.token, grant.window));
-                }
-                (FrameType::Challenge, payload) => return Ok(decode_challenge(&payload)?),
-                (FrameType::Error, payload) => return Err(server_error(&payload)),
-                _ => return Err(ClientError::Protocol("expected CHALLENGE")),
+            if let Some(chal) = self.pending.pop_front() {
+                return Ok(chal);
+            }
+            if let Taken::Verdict(_) = self.take_frame(true, "expected CHALLENGE")? {
+                return Err(ClientError::Protocol("expected CHALLENGE"));
             }
         }
     }
 
-    /// Reads until a `VERDICT`, buffering replacement challenges that
+    /// Reads until a `VERDICT`, queueing replacement challenges that
     /// arrive ahead of it.
     fn read_verdict(&mut self) -> Result<Verdict, ClientError> {
         loop {
-            match self.expect_frame()? {
-                (FrameType::Verdict, payload) => return Ok(Verdict::decode(&payload)?),
-                (FrameType::Challenge, payload) => {
-                    self.pending.push_back(decode_challenge(&payload)?);
-                }
-                (FrameType::Session, payload) => {
-                    let grant = decode_session(&payload)?;
-                    self.grant = Some((grant.token, grant.window));
-                }
-                (FrameType::Error, payload) => return Err(server_error(&payload)),
-                _ => return Err(ClientError::Protocol("expected VERDICT")),
+            if let Taken::Verdict(verdict) = self.take_frame(true, "expected VERDICT")? {
+                return Ok(verdict);
             }
         }
     }
 
-    fn expect_frame(&mut self) -> Result<(FrameType, Vec<u8>), ClientError> {
-        match read_frame(&mut self.stream, self.max_frame_len)? {
-            Some(frame) => Ok((frame.frame_type, frame.payload)),
-            None => Err(ClientError::Protocol("server closed the connection")),
+    /// Takes the next frame, decoded in place from the receive buffer:
+    /// a `SESSION` grant is stored, a `CHALLENGE` queued, a `VERDICT`
+    /// returned and an `ERROR` turned into [`ClientError::Server`]. Any
+    /// other frame is [`ClientError::Protocol`] with `expected`. With
+    /// `wait` unset it never reads, and yields [`Taken::Empty`] when no
+    /// whole frame is buffered.
+    fn take_frame(&mut self, wait: bool, expected: &'static str) -> Result<Taken, ClientError> {
+        let frame = if wait {
+            self.inbuf
+                .read_frame(&mut self.stream, self.max_frame_len)?
+                .ok_or(ClientError::Protocol("server closed the connection"))?
+        } else {
+            match self.inbuf.next_frame(self.max_frame_len)? {
+                Some(frame) => frame,
+                None => return Ok(Taken::Empty),
+            }
+        };
+        match frame {
+            (FrameType::Verdict, payload) => return Ok(Taken::Verdict(Verdict::decode(payload)?)),
+            (FrameType::Challenge, payload) => self.pending.push_back(decode_challenge(payload)?),
+            (FrameType::Session, payload) => {
+                let grant = decode_session(payload)?;
+                self.grant = Some((grant.token, grant.window));
+            }
+            (FrameType::Error, payload) => return Err(server_error(payload)),
+            _ => return Err(ClientError::Protocol(expected)),
         }
+        Ok(Taken::Stored)
     }
 }
 
@@ -488,7 +527,131 @@ impl SplitMix64 {
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read as _;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     use super::*;
+    use crate::frame::{encode_frame, encode_session, read_frame, SessionGrant};
+
+    const GRANT: SessionGrant = SessionGrant {
+        token: ResumeToken {
+            id: 42,
+            mac: [0x5A; 32],
+        },
+        window: 2,
+    };
+
+    /// A scripted server on loopback: accepts one connection, checks
+    /// its `HELLO`, then hands the stream to `script`.
+    fn scripted_server(
+        script: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (AttestClient, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound");
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accepts");
+            let opener = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+                .expect("opener arrives")
+                .expect("opener before EOF");
+            assert_eq!(opener.frame_type, FrameType::Hello);
+            script(stream);
+        });
+        (
+            AttestClient::new(addr.to_string(), ClientConfig::default()),
+            handle,
+        )
+    }
+
+    /// The handshake reply plus `extra` frames, as one server flush.
+    fn flush_with(extra: &[(FrameType, &[u8])]) -> Vec<u8> {
+        let mut flush = encode_frame(FrameType::Session, &encode_session(&GRANT));
+        for (ft, payload) in extra {
+            encode_frame_into(&mut flush, *ft, payload);
+        }
+        flush
+    }
+
+    #[test]
+    fn read_next_and_send_raw_work_over_the_receive_buffer() {
+        let (client, server) = scripted_server(|mut stream| {
+            stream
+                .write_all(&flush_with(&[
+                    (FrameType::Challenge, &[1; 32]),
+                    (FrameType::Challenge, &[2; 32]),
+                ]))
+                .unwrap();
+            let raw = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                (raw.frame_type, raw.payload.as_slice()),
+                (FrameType::Attest, &b"raw"[..])
+            );
+            stream
+                .write_all(&encode_frame(FrameType::Verdict, &[1; 13]))
+                .unwrap();
+        });
+        let mut conn = client.open("scripted").expect("opens");
+        // The SESSION grant is consumed on the way to the first frame.
+        assert_eq!(
+            conn.read_next().unwrap(),
+            (FrameType::Challenge, vec![1; 32])
+        );
+        assert_eq!(conn.resume_token(), Some(GRANT.token));
+        assert_eq!(conn.granted_window(), 2);
+        assert_eq!(
+            conn.read_next().unwrap(),
+            (FrameType::Challenge, vec![2; 32])
+        );
+        conn.send_raw(&encode_frame(FrameType::Attest, b"raw"))
+            .expect("writes");
+        assert_eq!(conn.read_next().unwrap(), (FrameType::Verdict, vec![1; 13]));
+        assert!(matches!(
+            conn.read_next(),
+            Err(ClientError::Protocol("server closed the connection"))
+        ));
+        server.join().expect("script ran");
+    }
+
+    #[test]
+    fn close_drains_buffered_frames_up_to_eof() {
+        let closed = Arc::new(AtomicBool::new(false));
+        let server_closed = Arc::clone(&closed);
+        let (client, server) = scripted_server(move |mut stream| {
+            // Four frames in one flush: the client's first read buffers
+            // all of them, and it reads only the first CHALLENGE.
+            stream
+                .write_all(&flush_with(&[
+                    (FrameType::Challenge, &[1; 32]),
+                    (FrameType::Verdict, &[1; 13]),
+                    (FrameType::Challenge, &[2; 32]),
+                ]))
+                .unwrap();
+            // The client's write shutdown arrives as EOF; one more frame
+            // follows it before the server closes.
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "the client sent {} bytes", rest.len());
+            std::thread::sleep(Duration::from_millis(50));
+            stream
+                .write_all(&encode_frame(FrameType::Challenge, &[3; 32]))
+                .unwrap();
+            server_closed.store(true, Ordering::SeqCst);
+        });
+        let mut conn = client.open("scripted").expect("opens");
+        assert_eq!(
+            conn.read_next().unwrap(),
+            (FrameType::Challenge, vec![1; 32])
+        );
+        assert_eq!(conn.close(), Some(GRANT.token));
+        assert!(
+            closed.load(Ordering::SeqCst),
+            "close returned before the server closed"
+        );
+        server.join().expect("script ran");
+    }
 
     #[test]
     fn backoff_is_bounded_and_deterministic() {

@@ -40,8 +40,8 @@
 //! check, preserving the disabled-cost guarantee.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::Write;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex};
 use std::time::{Duration, Instant};
@@ -52,9 +52,10 @@ use rap_obs::{Json, RoundCollector, RoundExemplar, StageSpan};
 use rap_track::{VerdictRecord, Verifier, VerifierSession};
 
 use crate::frame::{
-    decode_frame, decode_hello, decode_resume, decode_stats_request, encode_error, encode_frame,
-    encode_session, read_frame, write_frame, ErrorCode, Frame, FrameError, FrameType,
-    ReadFrameError, ResumeToken, SessionGrant, StatsFormat, Verdict, DEFAULT_MAX_FRAME_LEN,
+    decode_hello, decode_resume, decode_stats_request, encode_error, encode_frame,
+    encode_frame_into, encode_session, read_frame, write_frame, ErrorCode, FrameBuf, FrameError,
+    FrameType, ReadFrameError, ResumeToken, SessionGrant, StatsFormat, Verdict,
+    DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
 };
 
 /// The callback type wrapped by [`RoundHook`].
@@ -584,15 +585,10 @@ impl Server {
             return Err(StartError::EmptySecret);
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let admin_listener = match &config.admin_addr {
-            Some(admin_addr) => {
-                let l = TcpListener::bind(admin_addr.as_str())?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(admin_addr) => Some(TcpListener::bind(admin_addr.as_str())?),
             None => None,
         };
         let admin_local = match &admin_listener {
@@ -688,7 +684,8 @@ impl Server {
 
     /// Graceful drain: stop accepting, let queued and in-flight rounds
     /// finish (bounded by the read deadline), join every thread, and
-    /// return the final stats.
+    /// return the final stats. The listeners block in `accept`, so each
+    /// is woken with one loopback connection of its own, which it drops.
     pub fn shutdown(mut self) -> ServerStats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.join_threads();
@@ -705,7 +702,13 @@ impl Server {
 
     fn join_threads(&mut self) {
         if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
+            // Without the shutdown flag (`join()`), the accept loop ends
+            // at `conn_limit`; a wake connection would count against it.
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                wake_and_join(h, self.local_addr);
+            } else {
+                let _ = h.join();
+            }
         }
         self.queue.close();
         for h in self.worker_handles.drain(..) {
@@ -715,10 +718,40 @@ impl Server {
         // too so the conn-limit drain path (`join()` without
         // `shutdown()`) does not deadlock on the admin thread.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.admin_handle.take() {
-            let _ = h.join();
+        if let (Some(h), Some(addr)) = (self.admin_handle.take(), self.admin_local) {
+            wake_and_join(h, addr);
         }
     }
+}
+
+/// How long an accept loop backs off after a failed `accept` (EMFILE,
+/// ECONNABORTED, ...), so that a lasting error cannot spin a core; also
+/// the pause between wake attempts in [`wake_and_join`].
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Bounds one wake connect in [`wake_and_join`].
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Joins an accept-loop thread once the shutdown flag is set. The loop
+/// may be blocked in `accept` on `addr`, so one loopback connection
+/// wakes it; the loop checks the flag after every `accept` and drops
+/// that connection unqueued. An unspecified bind address is reached
+/// through loopback. A failed connect is retried until the thread has
+/// finished, so a lost wake cannot hang shutdown.
+fn wake_and_join(handle: std::thread::JoinHandle<()>, addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let wake = SocketAddr::new(ip, addr.port());
+    while !handle.is_finished() {
+        if TcpStream::connect_timeout(&wake, WAKE_CONNECT_TIMEOUT).is_ok() {
+            break;
+        }
+        std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+    }
+    let _ = handle.join();
 }
 
 fn accept_loop(listener: TcpListener, queue: &ConnQueue, shared: &Shared) {
@@ -726,15 +759,17 @@ fn accept_loop(listener: TcpListener, queue: &ConnQueue, shared: &Shared) {
     let counters = &shared.counters;
     let mut next_conn_id = 0u64;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         if let Some(limit) = config.conn_limit {
             if next_conn_id >= limit {
                 return;
             }
         }
-        match listener.accept() {
+        let accepted = listener.accept();
+        // Shutdown's wake connection, or a peer that raced it.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let conn_id = next_conn_id;
                 next_conn_id += 1;
@@ -766,12 +801,7 @@ fn accept_loop(listener: TcpListener, queue: &ConnQueue, shared: &Shared) {
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -987,60 +1017,9 @@ impl TickTally {
     }
 }
 
-/// A receive buffer that yields complete frames and refills with one
-/// `read` syscall per drain tick. Bytes `start..end` are received but
-/// not yet decoded. The buffer keeps its length between reads, so a
-/// read zero-fills nothing; it grows only when an incomplete frame
-/// leaves less than [`FILL_CHUNK`] free behind it.
-struct FrameBuf {
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-}
-
+/// The server's receive-buffer chunk: every read of a connection's
+/// ATTEST frames offers at least this much room (see [`FrameBuf::fill`]).
 const FILL_CHUNK: usize = 64 * 1024;
-
-impl FrameBuf {
-    fn new() -> FrameBuf {
-        FrameBuf {
-            buf: vec![0; FILL_CHUNK],
-            start: 0,
-            end: 0,
-        }
-    }
-
-    /// Decodes the next complete frame from the buffer; `Ok(None)`
-    /// means more bytes are needed.
-    fn next_frame(&mut self, max_len: u32) -> Result<Option<Frame>, FrameError> {
-        match decode_frame(&self.buf[self.start..self.end], max_len) {
-            Ok((frame, used)) => {
-                self.start += used;
-                Ok(Some(frame))
-            }
-            Err(FrameError::Truncated { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// One blocking read into the free tail. Moves the undecoded bytes
-    /// to the front first. Every read offers at least `FILL_CHUNK`
-    /// bytes, as a fresh buffer does: capping a read at the room a
-    /// partial frame measured about 10% more CPU per round on
-    /// roundbench's `loop_plain` (19 KB frames, 2 vCPUs).
-    fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        if self.buf.len() - self.end < FILL_CHUNK {
-            self.buf.resize(self.end + FILL_CHUNK, 0);
-        }
-        let n = r.read(&mut self.buf[self.end..])?;
-        self.end += n;
-        Ok(n)
-    }
-}
 
 /// Nanoseconds from `epoch` to `t` (0 when `t` precedes the epoch).
 fn rel_ns(epoch: Instant, t: Instant) -> u64 {
@@ -1123,18 +1102,21 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
     let token = mint_token(&config.session_secret, token_id, &device);
 
     // Handshake reply: the SESSION grant plus the initial challenge
-    // window, flushed as one write.
-    let mut outbuf = encode_frame(
-        FrameType::Session,
-        &encode_session(&SessionGrant { token, window }),
-    );
+    // window, flushed as one write. Every frame of the connection is
+    // encoded straight into `outbuf`, which keeps its capacity.
+    let grant = encode_session(&SessionGrant { token, window });
+    // Room for the SESSION frame and `window` CHALLENGE frames, each
+    // carrying a 32-byte nonce.
+    let mut outbuf =
+        Vec::with_capacity(HEADER_LEN + grant.len() + usize::from(window) * (HEADER_LEN + 32));
+    encode_frame_into(&mut outbuf, FrameType::Session, &grant);
     // Round trace ids are minted at CHALLENGE issue; `issued` mirrors
     // the session's FIFO challenge queue (an ATTEST — even a garbage
     // one — consumes the front challenge, so front-pop stays aligned).
     let mut issued: VecDeque<(u64, Instant)> = VecDeque::new();
     for _ in 0..window {
         let chal = session.issue_windowed_challenge();
-        outbuf.extend_from_slice(&encode_frame(FrameType::Challenge, &chal.0));
+        encode_frame_into(&mut outbuf, FrameType::Challenge, &chal.0);
         if let Some(obs) = &obs {
             issued.push_back((obs.telemetry.rounds.mint(), Instant::now()));
         }
@@ -1149,7 +1131,7 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
     rap_obs::counter!("serve_frames_tx_total").add(1 + u64::from(window));
     outbuf.clear();
 
-    let mut inbuf = FrameBuf::new();
+    let mut inbuf = FrameBuf::new(FILL_CHUNK);
     let mut tick = TickTally::default();
     // Set once shutdown is seen: the next drain tick is the last.
     let mut last_tick = false;
@@ -1160,7 +1142,7 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
         loop {
             match inbuf.next_frame(config.max_frame_len) {
                 Ok(None) => break,
-                Ok(Some(frame)) if frame.frame_type == FrameType::Attest => {
+                Ok(Some((FrameType::Attest, payload))) => {
                     tick.frames_rx += 1;
                     if session.outstanding_count() == 0 {
                         // The client wrote past its granted window.
@@ -1181,7 +1163,7 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
                         return;
                     }
                     let started = Instant::now();
-                    let (record, _) = session.check_response_record(&device, &frame.payload);
+                    let (record, _) = session.check_response_record(&device, payload);
                     let replay_ns = started.elapsed().as_nanos() as u64;
                     tick.latencies_ns.push(replay_ns);
                     let accepted = record.accepted();
@@ -1200,9 +1182,9 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
                     if shared.audit.is_some() {
                         tick.records.push(record);
                     }
-                    outbuf.extend_from_slice(&encode_frame(FrameType::Verdict, &verdict.encode()));
+                    encode_frame_into(&mut outbuf, FrameType::Verdict, &verdict.encode());
                     let chal = session.issue_windowed_challenge();
-                    outbuf.extend_from_slice(&encode_frame(FrameType::Challenge, &chal.0));
+                    encode_frame_into(&mut outbuf, FrameType::Challenge, &chal.0);
                     tick.frames_tx += 2;
                     if let Some(obs) = &obs {
                         // This ATTEST consumed the front challenge; its
@@ -1453,16 +1435,18 @@ const ADMIN_MAX_FRAME_LEN: u32 = 4096;
 /// reconnects on every poll anyway).
 const ADMIN_READ_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// The admin accept loop: same nonblocking 2 ms poll as the main
-/// accept loop, serving one scraper connection at a time.
+/// The admin accept loop: blocks in `accept` like the main accept
+/// loop, serves one scraper connection at a time, and is woken for
+/// shutdown the same way (see [`wake_and_join`]).
 fn admin_loop(listener: TcpListener, shared: &Shared) {
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => serve_admin_conn(shared, stream),
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -1690,68 +1674,5 @@ mod tests {
         // lives here with a minimal image via the test-only helper in
         // loopback tests; instead we just assert on the config shape.
         assert!(ServerConfig::default().session_secret.is_empty());
-    }
-
-    #[test]
-    fn frame_buf_yields_frames_across_split_reads() {
-        let mut fb = FrameBuf::new();
-        let a = encode_frame(FrameType::Attest, &[1, 2, 3]);
-        let b = encode_frame(FrameType::Attest, &[4; 100]);
-        let mut stream: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
-        // Feed in two arbitrary halves through the Read impl.
-        let half = stream.split_off(a.len() + 3);
-        let mut r1: &[u8] = &stream;
-        fb.fill(&mut r1).unwrap();
-        let f1 = fb.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
-        assert_eq!(f1.payload, vec![1, 2, 3]);
-        assert!(fb.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap().is_none());
-        let mut r2: &[u8] = &half;
-        fb.fill(&mut r2).unwrap();
-        let f2 = fb.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
-        assert_eq!(f2.payload, vec![4; 100]);
-        assert!(fb.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap().is_none());
-    }
-
-    /// Hands out at most `step` bytes per `read`, like a slow socket.
-    struct Trickle<'a> {
-        data: &'a [u8],
-        step: usize,
-    }
-
-    impl Read for Trickle<'_> {
-        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.step.min(out.len()).min(self.data.len());
-            out[..n].copy_from_slice(&self.data[..n]);
-            self.data = &self.data[n..];
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn frame_buf_grows_for_a_large_frame_arriving_in_small_reads() {
-        let big: Vec<u8> = (0..3 * FILL_CHUNK).map(|i| i as u8).collect();
-        let mut wire = encode_frame(FrameType::Attest, &big);
-        wire.extend_from_slice(&encode_frame(FrameType::Attest, &[9; 10]));
-        let mut r = Trickle {
-            data: &wire,
-            step: 1000,
-        };
-        let mut fb = FrameBuf::new();
-        let mut frames = Vec::new();
-        while frames.len() < 2 {
-            assert!(fb.fill(&mut r).unwrap() > 0, "the reader ran dry");
-            while let Some(frame) = fb.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap() {
-                frames.push(frame.payload);
-            }
-        }
-        assert_eq!(frames, vec![big, vec![9; 10]]);
-        let grown = fb.buf.len();
-        assert!(
-            grown <= wire.len() + FILL_CHUNK,
-            "grew to {grown} bytes for a {}-byte stream",
-            wire.len()
-        );
-        assert_eq!(fb.fill(&mut r).unwrap(), 0, "clean end of stream");
-        assert_eq!(fb.buf.len(), grown, "an empty buffer has room to spare");
     }
 }

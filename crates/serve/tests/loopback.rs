@@ -682,6 +682,129 @@ fn conn_limit_drains_automatically() {
     assert_eq!(stats.verdicts_accepted, 2);
 }
 
+/// Runs `f` on its own thread and fails unless it returns within
+/// `limit`, so a shutdown that misses its wake fails the test instead
+/// of hanging the suite.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what} did not return within {limit:?}")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
+
+#[test]
+fn resumed_connections_get_their_first_challenge_without_an_accept_delay() {
+    const CONNECTIONS: usize = 50;
+    let (linked, _w) = deployed();
+    let server =
+        Server::start(test_verifier(&linked), "127.0.0.1:0", test_config()).expect("binds");
+    let client = quick_client(server.local_addr());
+    let mut conn = client.open("reconnector").expect("opens");
+    assert!(matches!(conn.read_next(), Ok((FrameType::Challenge, _))));
+    let mut token = conn.close().expect("session grant carried a token");
+
+    let mut waits = Vec::with_capacity(CONNECTIONS);
+    for _ in 0..CONNECTIONS {
+        let started = Instant::now();
+        let mut conn = client.resume("reconnector", token).expect("resumes");
+        let first = conn.read_next();
+        waits.push(started.elapsed());
+        assert!(
+            matches!(first, Ok((FrameType::Challenge, _))),
+            "expected a CHALLENGE, got {first:?}"
+        );
+        token = conn
+            .close()
+            .expect("a resumed session grants a fresh token");
+    }
+    waits.sort();
+    let median = waits[CONNECTIONS / 2];
+    // A blocked `accept` returns as the connection arrives; a sleep
+    // poll made every new connection wait for its next tick (~2 ms).
+    assert!(
+        median < Duration::from_millis(1),
+        "median connect to first CHALLENGE over {CONNECTIONS} resumed connections: \
+         {median:?} (sorted: {waits:?})"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.resumed, CONNECTIONS as u64, "{stats:?}");
+}
+
+#[test]
+fn idle_shutdown_with_an_admin_listener_returns_promptly() {
+    let (linked, _w) = deployed();
+    let server = Server::start(
+        test_verifier(&linked),
+        "127.0.0.1:0",
+        admin_config(Duration::from_millis(5)),
+    )
+    .expect("binds");
+    assert!(server.admin_addr().is_some());
+    let stats = within(Duration::from_secs(2), "shutdown()", move || {
+        server.shutdown()
+    });
+    assert_eq!(stats.accepted, 0, "a wake is not a connection: {stats:?}");
+}
+
+#[test]
+fn join_returns_at_conn_limit_with_an_admin_listener_bound() {
+    let (linked, w) = deployed();
+    let server = Server::start(
+        test_verifier(&linked),
+        "127.0.0.1:0",
+        ServerConfig {
+            conn_limit: Some(1),
+            ..admin_config(Duration::from_millis(5))
+        },
+    )
+    .expect("binds");
+    let v = quick_client(server.local_addr())
+        .attest_once("limited", respond_benign(&linked, &w))
+        .expect("round completes");
+    assert!(v.accepted);
+    let stats = within(Duration::from_secs(5), "join()", move || server.join());
+    assert_eq!(
+        (stats.accepted, stats.verdicts_accepted),
+        (1, 1),
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn server_bound_to_the_unspecified_address_shuts_down() {
+    let (linked, w) = deployed();
+    let server = Server::start(
+        test_verifier(&linked),
+        "0.0.0.0:0",
+        ServerConfig {
+            admin_addr: Some("0.0.0.0:0".to_string()),
+            ..test_config()
+        },
+    )
+    .expect("binds");
+    assert!(server.local_addr().ip().is_unspecified());
+    let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+    let v = quick_client(loopback)
+        .attest_once("anywhere", respond_benign(&linked, &w))
+        .expect("round completes");
+    assert!(v.accepted);
+    let stats = within(Duration::from_secs(2), "shutdown()", move || {
+        server.shutdown()
+    });
+    assert_eq!(stats.accepted, 1, "{stats:?}");
+}
+
 #[test]
 fn empty_session_secret_is_rejected_with_typed_error() {
     let (linked, _w) = deployed();
