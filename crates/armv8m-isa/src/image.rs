@@ -18,8 +18,15 @@ pub struct Image {
     instrs: Vec<(u32, Instr)>,
     symbols: HashMap<String, u32>,
     funcs: Vec<(String, u32)>,
-    index: HashMap<u32, usize>,
+    /// One entry per halfword of `[base, end)`: entry `(addr - base) / 2`
+    /// is the position in `instrs` of the instruction starting at
+    /// `addr`, or [`NO_INSTR`] for the second halfword of a 32-bit
+    /// instruction.
+    index: Box<[u32]>,
 }
+
+/// [`Image`] index entry of a halfword no instruction starts at.
+const NO_INSTR: u32 = u32::MAX;
 
 impl Image {
     pub(crate) fn from_parts(
@@ -29,11 +36,10 @@ impl Image {
         symbols: HashMap<String, u32>,
         funcs: Vec<(String, u32)>,
     ) -> Image {
-        let index = instrs
-            .iter()
-            .enumerate()
-            .map(|(i, (addr, _))| (*addr, i))
-            .collect();
+        let mut index = vec![NO_INSTR; bytes.len() / 2].into_boxed_slice();
+        for (i, (addr, _)) in instrs.iter().enumerate() {
+            index[((addr - base) / 2) as usize] = i as u32;
+        }
         Image {
             base,
             bytes,
@@ -92,9 +98,21 @@ impl Image {
         &self.instrs
     }
 
-    /// Looks up the instruction starting at `addr`.
+    /// The position of `addr` among the image's halfwords, counted from
+    /// the base, if `addr` is one of them. Tables with one entry per
+    /// halfword, such as this image's instruction index and the
+    /// verifier's replay table, are indexed by it.
+    pub fn halfword(&self, addr: u32) -> Option<usize> {
+        let offset = addr.wrapping_sub(self.base);
+        let i = (offset / 2) as usize;
+        (offset.is_multiple_of(2) && i < self.index.len()).then_some(i)
+    }
+
+    /// Looks up the instruction starting at `addr`: two array loads.
     pub fn instr_at(&self, addr: u32) -> Option<&Instr> {
-        self.index.get(&addr).map(|&i| &self.instrs[i].1)
+        let i = self.index[self.halfword(addr)?];
+        // `NO_INSTR` is past the end of `instrs`.
+        self.instrs.get(i as usize).map(|(_, instr)| instr)
     }
 
     /// The address of the instruction following the one at `addr`.
@@ -226,6 +244,95 @@ mod tests {
         let image = sample();
         assert!(image.is_func_entry(0x100));
         assert!(!image.is_func_entry(0x102));
+    }
+
+    /// Two functions, narrow and 32-bit instructions mixed: `bl` and
+    /// `bne` are 32-bit, the rest 16-bit.
+    fn two_funcs() -> Image {
+        let mut a = Asm::new();
+        a.func("main");
+        a.movi(Reg::R0, 3);
+        a.bl("helper");
+        a.label("spin");
+        a.subi(Reg::R0, Reg::R0, 1);
+        a.bne("spin");
+        a.halt();
+        a.func("helper");
+        a.addi(Reg::R1, Reg::R1, 1);
+        a.ret();
+        a.into_module().assemble(0x200).expect("assembles")
+    }
+
+    /// Checks `instr_at` at every byte address from `base - 2` to
+    /// `end + 2` against the instruction list, and that `next_addr`
+    /// walks exactly that list from `base` to `end`.
+    fn assert_index_matches_instrs(image: &Image) {
+        let starts: HashMap<u32, &Instr> = image.instrs().iter().map(|(a, i)| (*a, i)).collect();
+        for addr in image.base() - 2..=image.end() + 2 {
+            assert_eq!(
+                image.instr_at(addr),
+                starts.get(&addr).copied(),
+                "{addr:#x}"
+            );
+        }
+        let mut walked = Vec::new();
+        let mut pc = image.base();
+        while let Some(next) = image.next_addr(pc) {
+            walked.push(pc);
+            pc = next;
+        }
+        assert_eq!(pc, image.end(), "next_addr stops only at the end");
+        let listed: Vec<u32> = image.instrs().iter().map(|(a, _)| *a).collect();
+        assert_eq!(walked, listed);
+    }
+
+    #[test]
+    fn dense_index_answers_every_address() {
+        let image = two_funcs();
+        assert_index_matches_instrs(&image);
+        assert_eq!(image.halfword(image.base()), Some(0));
+        assert_eq!(image.halfword(image.base() + 1), None);
+        assert_eq!(image.halfword(image.base() - 2), None);
+        assert_eq!(image.halfword(image.end()), None);
+        assert_eq!(
+            image.halfword(image.end() - 2),
+            Some(image.bytes().len() / 2 - 1)
+        );
+        assert_eq!(image.instr_at(image.base() - 2), None);
+        assert_eq!(image.instr_at(image.end()), None);
+        assert_eq!(image.next_addr(image.end()), None);
+        let (bl_addr, bl) = image
+            .instrs()
+            .iter()
+            .find(|(_, i)| matches!(i, Instr::Bl { .. }))
+            .expect("a bl");
+        assert_eq!(bl.size(), 4);
+        assert_eq!(image.instr_at(bl_addr + 2), None, "second halfword of bl");
+        assert_eq!(image.next_addr(*bl_addr), Some(bl_addr + 4));
+    }
+
+    #[test]
+    fn dense_index_at_an_odd_base() {
+        let assembled = two_funcs();
+        let image = Image::from_bytes(0x201, assembled.bytes().to_vec()).expect("decodes");
+        assert_eq!(image.end(), 0x201 + assembled.bytes().len() as u32);
+        assert_index_matches_instrs(&image);
+        assert!(image.instr_at(0x201).is_some());
+        assert_eq!(image.instr_at(0x200), None);
+        assert_eq!(image.instr_at(0x202), None);
+    }
+
+    #[test]
+    fn func_entry_on_every_function_and_not_between() {
+        let image = two_funcs();
+        let entries: Vec<u32> = image.funcs().iter().map(|(_, a)| *a).collect();
+        assert_eq!(entries.len(), 2);
+        for entry in &entries {
+            assert!(image.is_func_entry(*entry), "{entry:#x}");
+        }
+        let spin = image.symbol("spin").expect("label");
+        assert!(!entries.contains(&spin));
+        assert!(!image.is_func_entry(spin), "a label is not a function");
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   case.
 //!
 //! * `--quick` runs the loop-heavy subset only with fewer samples;
-//! * `--json <path>` writes `BENCH_dict.json` (plus `host_cores`);
+//! * `--json <path>` writes `BENCH_dict.json` (plus `host_cores` and
+//!   `min_loop_heavy_verify_speedup`, the figure the speedup gate
+//!   decides on);
 //! * `--enforce` exits non-zero unless every [`LOOP_HEAVY`] workload
 //!   saves at least [`MIN_BYTES_SAVED_PCT`] wire bytes and speeds
 //!   verification up by at least [`MIN_VERIFY_SPEEDUP`].
@@ -149,6 +151,7 @@ fn main() {
     let args = BenchArgs::parse();
     let mut report = BenchReport::default();
     let mut failures: Vec<String> = Vec::new();
+    let mut min_speedup = f64::INFINITY;
 
     let selected: Vec<workloads::Workload> = workloads::all()
         .into_iter()
@@ -226,6 +229,7 @@ fn main() {
         );
 
         if LOOP_HEAVY.contains(&p.name) {
+            min_speedup = min_speedup.min(speedup);
             if saved_pct < MIN_BYTES_SAVED_PCT {
                 failures.push(format!(
                     "{}: wire bytes saved {saved_pct:.1}% < {MIN_BYTES_SAVED_PCT}%",
@@ -241,6 +245,7 @@ fn main() {
         }
     }
 
+    report.field("min_loop_heavy_verify_speedup", Json::Num(min_speedup));
     if let Some(path) = &args.json_out {
         report.write(path).expect("write bench json");
         println!("bench json -> {path}");

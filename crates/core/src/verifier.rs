@@ -18,7 +18,7 @@ use rap_obs::CachePadded;
 
 use armv8m_isa::{service, BranchKind, Image, Instr, Reg, Target};
 use rap_crypto::{sha256, Digest, HmacSha256};
-use rap_link::{LinkMap, LoopPlanKind, SiteKind};
+use rap_link::{LinkMap, LoopMeta, LoopPlanKind, Site, SiteKind};
 
 use crate::dict::SubPathDict;
 use crate::policy::{PathPolicy, PolicyFinding};
@@ -423,14 +423,12 @@ struct Inner {
     max_steps: u64,
     policy: Option<PathPolicy>,
     dict: Option<SubPathDict>,
-    /// One slot per halfword of `[image.base(), image.end())`: slot `i`
-    /// holds the deterministic stretch entered at `base + 2 * i`, built
-    /// by the first lookup that reaches it (see
-    /// [`Verifier::segment_at`]). Contents depend only on the image and
-    /// map, never on a particular log, so the table is safely shared
-    /// across sessions, threads and devices, and its size is fixed by
-    /// the image: forged logs cannot grow it.
-    segments: Box<[OnceLock<Segment>]>,
+    /// One [`Slot`] per halfword of `[image.base(), image.end())`: slot
+    /// `i` answers every replay lookup at `base + 2 * i`. Contents
+    /// depend only on the image and map, never on a particular log, so
+    /// the table is safely shared across sessions, threads and devices,
+    /// and its size is fixed by the image: forged logs cannot grow it.
+    slots: Box<[Slot]>,
     /// Dictionary macro cache: `(entry id, span entry PC)` → replay
     /// deltas recorded the first time that sub-path was replayed live
     /// from that PC. Touched at most once per dictionary hit, so a
@@ -465,6 +463,23 @@ struct StatsTally {
     rejected: u64,
     /// The kind of the job's violation, if it was rejected.
     violation: Option<&'static str>,
+}
+
+/// Everything replay looks up at one halfword of the image. The site,
+/// latch and function-entry flag are filled by
+/// [`VerifierBuilder::build`]; the segment is built by the first lookup
+/// that reaches it (see [`Verifier::segment_at`]).
+#[derive(Debug, Default)]
+struct Slot {
+    /// The trampoline whose entry is this halfword.
+    site: Option<Site>,
+    /// The optimized loop whose latch is this halfword.
+    latch: Option<LoopMeta>,
+    /// Whether an indirect call may land here: a function entry of the
+    /// image or of the map.
+    func_entry: bool,
+    /// The deterministic stretch entered here.
+    segment: OnceLock<Segment>,
 }
 
 /// A memoized deterministic stretch of replay: the instruction walk
@@ -517,17 +532,34 @@ pub struct VerifierBuilder {
     max_steps: u64,
 }
 
-/// A [`VerifierBuilder::build`] call was missing a required component.
+/// Why [`VerifierBuilder::build`] refused to build a verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub struct BuildError {
-    /// The missing builder field (`"key"`, `"image"` or `"map"`).
-    pub missing: &'static str,
+pub enum BuildError {
+    /// A required builder field (`"key"`, `"image"` or `"map"`) was
+    /// never supplied.
+    Missing(&'static str),
+    /// The image or the link map names an address that is not one of
+    /// the image's halfwords, so replay's per-halfword table has no slot
+    /// for it. rap-link never emits such a map; it means the map and
+    /// the image do not belong together.
+    OutsideImage {
+        /// What is named there: `"trampoline entry"`, `"loop latch"` or
+        /// `"function entry"`.
+        what: &'static str,
+        /// The address.
+        addr: u32,
+    },
 }
 
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "verifier builder is missing `{}`", self.missing)
+        match self {
+            BuildError::Missing(field) => write!(f, "verifier builder is missing `{field}`"),
+            BuildError::OutsideImage { what, addr } => {
+                write!(f, "{what} {addr:#010x} is not a halfword of the image")
+            }
+        }
     }
 }
 
@@ -582,18 +614,23 @@ impl VerifierBuilder {
         self
     }
 
-    /// Finishes construction.
+    /// Finishes construction, filling the per-halfword slot table from
+    /// the image and the map.
     ///
     /// # Errors
     ///
-    /// [`BuildError`] when `key`, `image` or `map` was never supplied.
+    /// [`BuildError::Missing`] when `key`, `image` or `map` was never
+    /// supplied; [`BuildError::OutsideImage`] (the lowest such address)
+    /// when the map names a trampoline entry, a loop latch or a function
+    /// entry, or the image a function entry, that is not one of the
+    /// image's halfwords.
     pub fn build(self) -> Result<Verifier, BuildError> {
-        let key = self.key.ok_or(BuildError { missing: "key" })?;
-        let image = self.image.ok_or(BuildError { missing: "image" })?;
-        let map = self.map.ok_or(BuildError { missing: "map" })?;
+        let key = self.key.ok_or(BuildError::Missing("key"))?;
+        let image = self.image.ok_or(BuildError::Missing("image"))?;
+        let map = self.map.ok_or(BuildError::Missing("map"))?;
+        let slots = slot_table(&image, &map)?;
         let mut seal_key = [0u8; 32];
         seal_key.copy_from_slice(&crate::verdict::verdict_seal_key(&key));
-        let slots = (image.end() - image.base()) / 2;
         let inner = Inner {
             report_mac: HmacSha256::new(&key),
             seal_mac: HmacSha256::new(&seal_key),
@@ -609,7 +646,7 @@ impl VerifierBuilder {
             },
             policy: self.policy,
             dict: self.dict,
-            segments: (0..slots).map(|_| OnceLock::new()).collect(),
+            slots,
             dict_macros: RwLock::new(HashMap::new()),
             hits: CachePadded::default(),
             misses: CachePadded::default(),
@@ -624,6 +661,37 @@ impl VerifierBuilder {
     }
 }
 
+/// One [`Slot`] per halfword of the image, with every trampoline entry,
+/// loop latch and function entry the image and the map name filled in.
+fn slot_table(image: &Image, map: &LinkMap) -> Result<Box<[Slot]>, BuildError> {
+    let func_entries = || (image.funcs().iter().map(|(_, a)| *a)).chain(map.funcs.keys().copied());
+    let outside = (map.sites_by_entry.keys().map(|&a| (a, "trampoline entry")))
+        .chain(map.loops_by_latch.keys().map(|&a| (a, "loop latch")))
+        .chain(func_entries().map(|a| (a, "function entry")))
+        .filter(|&(addr, _)| image.halfword(addr).is_none())
+        .min();
+    if let Some((addr, what)) = outside {
+        return Err(BuildError::OutsideImage { what, addr });
+    }
+    let at = |addr: u32| {
+        image
+            .halfword(addr)
+            .expect("every named address checked above")
+    };
+    let halfwords = (image.end() - image.base()) / 2;
+    let mut slots: Box<[Slot]> = (0..halfwords).map(|_| Slot::default()).collect();
+    for (&entry, site) in &map.sites_by_entry {
+        slots[at(entry)].site = Some(*site);
+    }
+    for (&latch, meta) in &map.loops_by_latch {
+        slots[at(latch)].latch = Some(*meta);
+    }
+    for addr in func_entries() {
+        slots[at(addr)].func_entry = true;
+    }
+    Ok(slots)
+}
+
 impl Verifier {
     /// Starts building a Verifier; see [`VerifierBuilder`].
     pub fn builder() -> VerifierBuilder {
@@ -633,13 +701,19 @@ impl Verifier {
     /// Creates a Verifier for the given deployed binary and link map
     /// with default policy and budget settings — a thin wrapper
     /// over [`Verifier::builder`]. Replay starts at the image base.
+    ///
+    /// # Panics
+    ///
+    /// When the map names an address off the image
+    /// ([`BuildError::OutsideImage`]); build through
+    /// [`Verifier::builder`] to get that as an error.
     pub fn new(key: Key, image: Image, map: LinkMap) -> Verifier {
         Verifier::builder()
             .key(key)
             .image(image)
             .map(map)
             .build()
-            .expect("all required builder fields supplied")
+            .unwrap_or_else(|e| panic!("Verifier::new: {e}"))
     }
 
     /// The expected `H_MEM` of the deployed binary.
@@ -929,6 +1003,22 @@ impl Verifier {
         })
     }
 
+    /// The table slot of `addr`, if `addr` is one of the image's
+    /// halfwords: an index, no hashing.
+    fn slot(&self, addr: u32) -> Option<&Slot> {
+        self.inner.slots.get(self.inner.image.halfword(addr)?)
+    }
+
+    /// The trampoline whose entry is `addr`.
+    fn site_at(&self, addr: u32) -> Option<&Site> {
+        self.slot(addr)?.site.as_ref()
+    }
+
+    /// The optimized loop whose latch is `addr`.
+    fn latch_at(&self, addr: u32) -> Option<&LoopMeta> {
+        self.slot(addr)?.latch.as_ref()
+    }
+
     /// The deterministic segment entered at `pc`, from its table slot.
     ///
     /// The first lookup that reaches a slot builds it inside
@@ -940,16 +1030,12 @@ impl Verifier {
     /// or odd) counts as a hit and yields `None`; the live stepper then
     /// reports it as [`Violation::InvalidPc`].
     fn segment_at(&self, pc: u32, tally: &mut StatsTally) -> Option<&Segment> {
-        let slot = pc
-            .checked_sub(self.inner.image.base())
-            .filter(|offset| offset % 2 == 0)
-            .and_then(|offset| self.inner.segments.get(offset as usize / 2));
-        let Some(slot) = slot else {
+        let Some(slot) = self.slot(pc) else {
             tally.cache_hits += 1;
             return None;
         };
         let mut built = false;
-        let segment = slot.get_or_init(|| {
+        let segment = slot.segment.get_or_init(|| {
             built = true;
             self.build_segment(pc)
         });
@@ -988,7 +1074,7 @@ impl Verifier {
                 }
                 Instr::B { target } => {
                     let Some(dest) = target.abs() else { break };
-                    if self.inner.map.site_at_entry(dest).is_some() {
+                    if self.site_at(dest).is_some() {
                         break; // trampoline: consumes an MTB packet
                     }
                     steps += 1;
@@ -996,10 +1082,10 @@ impl Verifier {
                 }
                 Instr::BCond { target, .. } => {
                     let Some(dest) = target.abs() else { break };
-                    if self.inner.map.site_at_entry(dest).is_some() {
+                    if self.site_at(dest).is_some() {
                         break; // tracked conditional
                     }
-                    let Some(meta) = self.inner.map.loops_by_latch.get(&pc) else {
+                    let Some(meta) = self.latch_at(pc) else {
                         break; // Fig. 7 forward-exit layout peeks at the log
                     };
                     let LoopPlanKind::Static { init } = meta.kind else {
@@ -1017,7 +1103,7 @@ impl Verifier {
                 }
                 Instr::Bl { target } => {
                     let Some(dest) = target.abs() else { break };
-                    if self.inner.map.site_at_entry(dest).is_some() {
+                    if self.site_at(dest).is_some() {
                         break; // rewritten indirect call
                     }
                     shadow_pushes.push(pc + size);
@@ -1079,7 +1165,7 @@ impl Verifier {
             }
             Instr::B { target } => {
                 let dest = resolve(target);
-                if let Some(site) = self.inner.map.site_at_entry(dest) {
+                if let Some(site) = self.site_at(dest) {
                     match site.kind {
                         SiteKind::LoopForward { cont } => {
                             let e = state.take_mtb(mtb, pc)?;
@@ -1137,7 +1223,7 @@ impl Verifier {
             }
             Instr::BCond { target, .. } => {
                 let dest = resolve(target);
-                if let Some(site) = self.inner.map.site_at_entry(dest) {
+                if let Some(site) = self.site_at(dest) {
                     let SiteKind::CondTaken { taken } = site.kind else {
                         return Err(Violation::UntrackedConditional { addr: pc });
                     };
@@ -1148,9 +1234,7 @@ impl Verifier {
                     // the decision is fully determined by the log.
                     let ft_site = self.inner.image.instr_at(pc + size).and_then(|n| match n {
                         Instr::B { target } => self
-                            .inner
-                            .map
-                            .site_at_entry(resolve(target))
+                            .site_at(resolve(target))
                             .filter(|s| matches!(s.kind, SiteKind::CondFallthrough { .. })),
                         _ => None,
                     });
@@ -1193,7 +1277,7 @@ impl Verifier {
                         state.events.push(PathEvent::CondNotTaken { site: pc });
                         state.pc = pc + size;
                     }
-                } else if let Some(meta) = self.inner.map.loops_by_latch.get(&pc) {
+                } else if let Some(meta) = self.latch_at(pc) {
                     // §IV-D replay: derive the iteration count.
                     let init = match meta.kind {
                         LoopPlanKind::Static { init } => init,
@@ -1222,9 +1306,7 @@ impl Verifier {
                     let follows = self.inner.image.instr_at(next_addr);
                     let forward_site = follows.and_then(|n| match n {
                         Instr::B { target } => self
-                            .inner
-                            .map
-                            .site_at_entry(resolve(target))
+                            .site_at(resolve(target))
                             .filter(|s| matches!(s.kind, SiteKind::LoopForward { .. })),
                         _ => None,
                     });
@@ -1249,15 +1331,13 @@ impl Verifier {
             Instr::Bl { target } => {
                 let dest = resolve(target);
                 let ret = pc + size;
-                if let Some(site) = self.inner.map.site_at_entry(dest) {
+                if let Some(site) = self.site_at(dest) {
                     if site.kind != SiteKind::IndirectCall {
                         return Err(Violation::UntrackedIndirect { addr: pc });
                     }
                     let e = state.take_mtb(mtb, pc)?;
                     expect_src(pc, e.source, site.src)?;
-                    let is_entry = self.inner.image.is_func_entry(e.dest)
-                        || self.inner.map.funcs.contains_key(&e.dest);
-                    if !is_entry {
+                    if !self.slot(e.dest).is_some_and(|s| s.func_entry) {
                         return Err(Violation::InvalidCallTarget {
                             site: pc,
                             dest: e.dest,
@@ -1478,23 +1558,15 @@ impl ReplaySession<'_> {
             .expect("dict macro lock");
         match map.get(&(id, self.state.pc)) {
             Some(variants) => {
-                let hit = variants.iter().find(|m| self.macro_applies(m)).cloned();
+                let hit = variants
+                    .iter()
+                    .find(|m| m.applies(&self.state, &self.loops))
+                    .cloned();
                 let room = variants.len() < MACRO_VARIANT_CAP;
                 (hit, room)
             }
             None => (None, true),
         }
-    }
-
-    /// Whether a macro's recorded context matches the live state: the
-    /// shadow frames it may pop, the loop records it consumes, and no
-    /// queued loop inits that would alter in-span decisions.
-    fn macro_applies(&self, m: &DictMacro) -> bool {
-        let shadow = &self.state.shadow;
-        self.state.no_pending_inits()
-            && shadow.len() >= m.required_suffix.len()
-            && shadow[shadow.len() - m.required_suffix.len()..] == m.required_suffix[..]
-            && self.loops[self.state.loop_idx..].starts_with(&m.loops_used)
     }
 
     /// Bulk-applies a recorded macro: splices the span's events and
@@ -1672,6 +1744,23 @@ struct DictMacro {
     end_pc: u32,
 }
 
+impl DictMacro {
+    /// Whether this macro's recorded context matches `state`: the shadow
+    /// frames it may pop, the loop records it consumes, and no queued
+    /// loop inits that would alter in-span decisions.
+    ///
+    /// An empty precondition skips its compare: a slice `==` or
+    /// `starts_with` calls the C library's `bcmp` even at length 0, and
+    /// with the empty `Vec`'s dangling pointer that call measured
+    /// 77–95 ns (glibc 2.36, Intel Xeon with AVX-512), against ~2 ns
+    /// with valid pointers (DESIGN.md §14).
+    fn applies(&self, state: &ReplayState, loops: &[u32]) -> bool {
+        state.no_pending_inits()
+            && (self.required_suffix.is_empty() || state.shadow.ends_with(&self.required_suffix))
+            && (self.loops_used.is_empty() || loops[state.loop_idx..].starts_with(&self.loops_used))
+    }
+}
+
 /// Bookkeeping for a span being replayed live for the first time.
 #[derive(Debug)]
 struct Recording {
@@ -1707,4 +1796,191 @@ fn expect_dest(pc: u32, got: u32, expected: u32) -> Result<(), Violation> {
         return Err(Violation::UnexpectedDest { pc, got, expected });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device_key;
+    use rap_link::{link, LinkOptions};
+
+    /// Every halfword from `base - 2` to `end + 2`.
+    fn halfwords_around(image: &Image) -> impl Iterator<Item = u32> {
+        let start = image.base().wrapping_sub(2);
+        (0..=(image.end() - image.base()) / 2 + 2).map(move |k| start.wrapping_add(2 * k))
+    }
+
+    #[test]
+    fn slots_answer_what_the_image_and_map_answer_on_every_workload() {
+        for w in workloads::all() {
+            let linked = link(&w.module, 0, LinkOptions::default()).expect("workload links");
+            let (image, map) = (&linked.image, &linked.map);
+            let v = Verifier::new(device_key("slots"), image.clone(), map.clone());
+            let (mut sites, mut latches, mut funcs) = (0, 0, 0);
+            for addr in halfwords_around(image) {
+                let inside = (image.base()..image.end()).contains(&addr);
+                assert_eq!(v.slot(addr).is_some(), inside, "{} {addr:#x}", w.name);
+                if image.instr_at(addr).is_some() {
+                    assert!(
+                        inside,
+                        "{} {addr:#x}: an instruction without a slot",
+                        w.name
+                    );
+                }
+                assert_eq!(
+                    v.site_at(addr),
+                    map.site_at_entry(addr),
+                    "{} {addr:#x}",
+                    w.name
+                );
+                assert_eq!(
+                    v.latch_at(addr),
+                    map.loops_by_latch.get(&addr),
+                    "{} {addr:#x}",
+                    w.name
+                );
+                let func_entry = image.is_func_entry(addr) || map.funcs.contains_key(&addr);
+                assert_eq!(
+                    v.slot(addr).is_some_and(|s| s.func_entry),
+                    func_entry,
+                    "{} {addr:#x}",
+                    w.name
+                );
+                sites += usize::from(v.site_at(addr).is_some());
+                latches += usize::from(v.latch_at(addr).is_some());
+                funcs += usize::from(func_entry);
+            }
+            // Complete: every entry the map names was met on the sweep.
+            assert_eq!(sites, map.sites_by_entry.len(), "{}", w.name);
+            assert_eq!(latches, map.loops_by_latch.len(), "{}", w.name);
+            assert_eq!(funcs, map.funcs.len(), "{}", w.name);
+        }
+    }
+
+    #[test]
+    fn a_map_naming_an_address_off_the_image_is_refused_at_build() {
+        let linked = link(
+            &workloads::temperature::workload().module,
+            0,
+            LinkOptions::default(),
+        )
+        .expect("temperature links");
+        let (image, map) = (&linked.image, &linked.map);
+        let build = |map: LinkMap| {
+            Verifier::builder()
+                .key(device_key("slots"))
+                .image(image.clone())
+                .map(map)
+                .build()
+        };
+        assert!(build(map.clone()).is_ok());
+
+        let site = *map
+            .sites_by_entry
+            .values()
+            .next()
+            .expect("temperature has sites");
+        let mut forged = map.clone();
+        forged.sites_by_entry.insert(image.end(), site);
+        assert_eq!(
+            build(forged).unwrap_err(),
+            BuildError::OutsideImage {
+                what: "trampoline entry",
+                addr: image.end()
+            }
+        );
+
+        let meta = *map
+            .loops_by_latch
+            .values()
+            .next()
+            .expect("temperature has an optimized loop");
+        let mut forged = map.clone();
+        forged.loops_by_latch.insert(image.base() + 1, meta);
+        assert_eq!(
+            build(forged).unwrap_err(),
+            BuildError::OutsideImage {
+                what: "loop latch",
+                addr: image.base() + 1
+            }
+        );
+
+        let mut forged = map.clone();
+        forged.funcs.insert(image.end() + 0x100, "far".into());
+        forged.funcs.insert(image.end(), "end".into());
+        assert_eq!(
+            build(forged).unwrap_err(),
+            BuildError::OutsideImage {
+                what: "function entry",
+                addr: image.end()
+            },
+            "the lowest offending address is named"
+        );
+
+        let missing = Verifier::builder()
+            .image(image.clone())
+            .map(map.clone())
+            .build();
+        assert_eq!(missing.unwrap_err(), BuildError::Missing("key"));
+    }
+
+    fn macro_with(required_suffix: &[u32], loops_used: &[u32]) -> DictMacro {
+        DictMacro {
+            steps: 1,
+            events: Vec::new(),
+            required_suffix: required_suffix.to_vec(),
+            end_tail: Vec::new(),
+            loops_used: loops_used.to_vec(),
+            end_pending: 0,
+            end_pc: 0,
+        }
+    }
+
+    /// A replay state with `shadow` and the loop records before
+    /// `loop_idx` read, of which those before `init_head` are used.
+    fn state(shadow: &[u32], loop_idx: usize, init_head: usize) -> ReplayState {
+        let mut state = ReplayState::new(0);
+        state.shadow = shadow.to_vec();
+        state.loop_idx = loop_idx;
+        state.init_head = init_head;
+        state
+    }
+
+    #[test]
+    fn macro_preconditions_hold_with_and_without_empty_slices() {
+        let loops = [5, 6, 7];
+        let at = |shadow: &[u32], loop_idx: usize| state(shadow, loop_idx, loop_idx);
+
+        // Both empty: only the pending-init check remains.
+        let free = macro_with(&[], &[]);
+        assert!(free.applies(&at(&[], 0), &loops));
+        assert!(free.applies(&at(&[1, 2], 3), &loops));
+        assert!(
+            !free.applies(&state(&[1, 2], 2, 1), &loops),
+            "a pending init"
+        );
+
+        // Shadow suffix only.
+        let pops = macro_with(&[2, 3], &[]);
+        assert!(pops.applies(&at(&[1, 2, 3], 0), &loops));
+        assert!(pops.applies(&at(&[2, 3], 3), &loops));
+        assert!(!pops.applies(&at(&[1, 2], 0), &loops), "not a suffix");
+        assert!(!pops.applies(&at(&[3], 0), &loops), "shadow too shallow");
+        assert!(!pops.applies(&at(&[], 0), &loops));
+
+        // Loop records only.
+        let reads = macro_with(&[], &[6, 7]);
+        assert!(reads.applies(&at(&[], 1), &loops));
+        assert!(reads.applies(&at(&[9], 1), &loops));
+        assert!(!reads.applies(&at(&[], 0), &loops), "records 5, 6 are next");
+        assert!(!reads.applies(&at(&[], 2), &loops), "only record 7 is left");
+        assert!(!reads.applies(&at(&[], 3), &loops), "no records left");
+
+        // Both: each precondition still decides on its own.
+        let both = macro_with(&[4], &[5]);
+        assert!(both.applies(&at(&[4], 0), &loops));
+        assert!(!both.applies(&at(&[3], 0), &loops), "suffix mismatch");
+        assert!(!both.applies(&at(&[4], 1), &loops), "record mismatch");
+        assert!(!both.applies(&state(&[4], 1, 0), &loops), "a pending init");
+    }
 }

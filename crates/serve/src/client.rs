@@ -173,9 +173,10 @@ pub struct Connection {
     inbuf: FrameBuf,
 }
 
-/// The client's receive-buffer chunk. A server flush of a full window
-/// (8 VERDICT + CHALLENGE pairs) is about 520 bytes.
-const RECV_CHUNK: usize = 4096;
+/// The client's receive-buffer chunk, also the server's first one. A
+/// server flush of a full window (8 VERDICT + CHALLENGE pairs) is about
+/// 520 bytes.
+pub(crate) const RECV_CHUNK: usize = 4096;
 
 /// What [`Connection::take_frame`] made of one frame.
 enum Taken {

@@ -404,17 +404,30 @@ pub(crate) struct FrameBuf {
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// The least room every read offers.
     chunk: usize,
+    /// What `chunk` becomes at the first read that continues an
+    /// incomplete frame.
+    grown_chunk: usize,
 }
 
 impl FrameBuf {
     /// An empty buffer whose reads offer at least `chunk` bytes.
     pub(crate) fn new(chunk: usize) -> FrameBuf {
+        FrameBuf::growing(chunk, chunk)
+    }
+
+    /// An empty buffer whose reads offer at least `first` bytes until
+    /// one read has to continue an incomplete frame, and at least
+    /// `chunk` from then on. A peer whose frames each fit one read
+    /// never costs more than `first`.
+    pub(crate) fn growing(first: usize, chunk: usize) -> FrameBuf {
         FrameBuf {
-            buf: vec![0; chunk],
+            buf: vec![0; first],
             start: 0,
             end: 0,
-            chunk,
+            chunk: first,
+            grown_chunk: chunk,
         }
     }
 
@@ -435,15 +448,20 @@ impl FrameBuf {
     }
 
     /// One blocking read into the free tail. Moves the undecoded bytes
-    /// to the front first. Every read offers at least `chunk` bytes, as
-    /// a fresh buffer does: on the server, capping a read at the room a
-    /// partial frame needed measured about 10% more CPU per round on
-    /// roundbench's `loop_plain` (19 KB frames, 2 vCPUs).
+    /// to the front first; any left are an incomplete frame, which
+    /// switches the buffer to its grown chunk for good. Every read
+    /// offers at least `chunk` bytes, as a fresh buffer does: on the
+    /// server, capping a read at the room a partial frame needed
+    /// measured about 10% more CPU per round on roundbench's
+    /// `loop_plain` (19 KB frames, 2 vCPUs).
     pub(crate) fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
+        }
+        if self.end > 0 {
+            self.chunk = self.grown_chunk;
         }
         if self.buf.len() - self.end < self.chunk {
             self.buf.resize(self.end + self.chunk, 0);
@@ -915,10 +933,12 @@ mod tests {
     const CHUNK: usize = 4096;
 
     /// Hands out one scripted chunk per `read` (the rest of a chunk
-    /// that does not fit comes next), then EOF; counts the reads.
+    /// that does not fit comes next), then EOF; counts the reads and
+    /// records the room each one offered.
     struct Script {
         chunks: std::collections::VecDeque<Vec<u8>>,
         reads: usize,
+        offered: Vec<usize>,
     }
 
     impl Script {
@@ -926,6 +946,7 @@ mod tests {
             Script {
                 chunks: chunks.into_iter().collect(),
                 reads: 0,
+                offered: Vec::new(),
             }
         }
     }
@@ -933,6 +954,7 @@ mod tests {
     impl Read for Script {
         fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
             self.reads += 1;
+            self.offered.push(out.len());
             let Some(mut chunk) = self.chunks.pop_front() else {
                 return Ok(0);
             };
@@ -1006,6 +1028,51 @@ mod tests {
             fb.buf.len() <= a.len() + CHUNK,
             "at most one frame plus one chunk, not {} bytes",
             fb.buf.len()
+        );
+    }
+
+    #[test]
+    fn growing_frame_buf_grows_at_the_first_split_frame_and_stays_grown() {
+        const FIRST: usize = 256;
+        const GROWN: usize = 8 * FIRST;
+        let max = DEFAULT_MAX_FRAME_LEN;
+        let small = encode_frame(FrameType::Attest, &[1; 100]);
+        let big = encode_frame(FrameType::Attest, &[2; 600]);
+        let mut fb = FrameBuf::growing(FIRST, GROWN);
+
+        // Frames that each arrive whole in one read: the first chunk
+        // is all the buffer ever holds.
+        let mut r = Script::new([small.clone(), small.clone(), small.clone()]);
+        for _ in 0..3 {
+            assert_eq!(
+                fb.read_frame(&mut r, max).unwrap(),
+                Some((FrameType::Attest, &[1u8; 100][..]))
+            );
+        }
+        assert_eq!(fb.buf.len(), FIRST);
+        assert_eq!(r.offered, [FIRST; 3]);
+
+        // A frame split across reads: the read that continues it, and
+        // every read after, offers the grown chunk.
+        let mut r = Script::new([big[..200].to_vec(), big[200..].to_vec(), small.clone()]);
+        assert_eq!(
+            fb.read_frame(&mut r, max).unwrap(),
+            Some((FrameType::Attest, &[2u8; 600][..]))
+        );
+        assert_eq!(
+            fb.read_frame(&mut r, max).unwrap(),
+            Some((FrameType::Attest, &[1u8; 100][..]))
+        );
+        assert_eq!(fb.read_frame(&mut r, max).unwrap(), None, "clean EOF");
+        assert_eq!(r.offered[0], FIRST);
+        assert!(
+            r.offered[1..].iter().all(|&room| room >= GROWN),
+            "{:?}",
+            r.offered
+        );
+        assert!(
+            fb.buf.len() <= 200 + GROWN,
+            "one partial frame plus one chunk"
         );
     }
 

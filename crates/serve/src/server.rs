@@ -51,6 +51,7 @@ use rap_crypto::{verify_tag, HmacSha256};
 use rap_obs::{Json, RoundCollector, RoundExemplar, StageSpan};
 use rap_track::{VerdictRecord, Verifier, VerifierSession};
 
+use crate::client::RECV_CHUNK;
 use crate::frame::{
     decode_hello, decode_resume, decode_stats_request, encode_error, encode_frame,
     encode_frame_into, encode_session, read_frame, write_frame, ErrorCode, FrameBuf, FrameError,
@@ -1017,8 +1018,11 @@ impl TickTally {
     }
 }
 
-/// The server's receive-buffer chunk: every read of a connection's
-/// ATTEST frames offers at least this much room (see [`FrameBuf::fill`]).
+/// The server's receive-buffer chunk: once an ATTEST frame has arrived
+/// split across reads, every read of the connection offers at least
+/// this much room (see [`FrameBuf::fill`]). Until then reads offer the
+/// client's [`RECV_CHUNK`], so a connection whose frames each fit one
+/// read, such as one resumed round, never zero-fills 64 KiB.
 const FILL_CHUNK: usize = 64 * 1024;
 
 /// Nanoseconds from `epoch` to `t` (0 when `t` precedes the epoch).
@@ -1131,7 +1135,7 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
     rap_obs::counter!("serve_frames_tx_total").add(1 + u64::from(window));
     outbuf.clear();
 
-    let mut inbuf = FrameBuf::new(FILL_CHUNK);
+    let mut inbuf = FrameBuf::growing(RECV_CHUNK, FILL_CHUNK);
     let mut tick = TickTally::default();
     // Set once shutdown is seen: the next drain tick is the last.
     let mut last_tick = false;
