@@ -20,8 +20,13 @@
 //! * `--enforce` exits non-zero unless every [`LOOP_HEAVY`] workload
 //!   saves at least [`MIN_BYTES_SAVED_PCT`] wire bytes and speeds
 //!   verification up by at least [`MIN_VERIFY_SPEEDUP`].
+//!
+//! Each leg's median comes from at least [`GATE_SAMPLES`] samples of at
+//! least [`GATE_MIN_ITERS`] iterations, in `--quick` too: from three
+//! samples one slow sample moved crc32's ratio between 1.93× and 2.77×
+//! on one tree. The table prints each leg's min–p95 beside the ratio.
 
-use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport};
+use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport, Stats};
 use rap_link::{link, LinkOptions, LinkedProgram};
 use rap_obs::Json;
 use rap_track::{
@@ -53,6 +58,13 @@ const MIN_BYTES_SAVED_PCT: f64 = 30.0;
 /// Enforced minimum single-stream verification speedup on loop-heavy
 /// workloads.
 const MIN_VERIFY_SPEEDUP: f64 = 1.15;
+
+/// Timed samples per leg under `--quick`: odd, so the median is the
+/// middle sample.
+const GATE_SAMPLES: usize = 5;
+
+/// Floor under the calibrated iterations per sample.
+const GATE_MIN_ITERS: u64 = 8;
 
 fn bench_key() -> Key {
     device_key("dict-bench")
@@ -158,10 +170,12 @@ fn main() {
         .filter(|w| !args.quick || LOOP_HEAVY.contains(&w.name))
         .collect();
 
-    let group = BenchGroup::new("dict").samples(if args.quick { 3 } else { 7 });
+    let group = BenchGroup::new("dict")
+        .samples(if args.quick { GATE_SAMPLES } else { 7 })
+        .min_iters(GATE_MIN_ITERS);
 
-    println!("| workload | wire plain | wire dict | saved | verify speedup |");
-    println!("|---|---|---|---|---|");
+    println!("| workload | wire plain | wire dict | saved | verify speedup | plain min–p95 | dict min–p95 |");
+    println!("|---|---|---|---|---|---|---|");
 
     for w in &selected {
         let p = prepare(w);
@@ -196,9 +210,14 @@ fn main() {
         });
         let speedup = dict_stats.per_sec() / plain_stats.per_sec();
 
+        let spread = |s: &Stats| format!("{}–{} ns", s.min.as_nanos(), s.p95.as_nanos());
         println!(
-            "| {} | {} B | {} B | {saved_pct:.0}% | {speedup:.2}x |",
-            p.name, p.wire_bytes_plain, p.wire_bytes_dict
+            "| {} | {} B | {} B | {saved_pct:.0}% | {speedup:.2}x | {} | {} |",
+            p.name,
+            p.wire_bytes_plain,
+            p.wire_bytes_dict,
+            spread(&plain_stats),
+            spread(&dict_stats)
         );
 
         report.record_with(

@@ -1488,8 +1488,15 @@ skip:
         assert_eq!(a, b);
     }
 
+    /// Held by every test that runs `cmd_verify_fleet`: it sets the
+    /// process-global `fleet_effective_threads` gauge, which
+    /// `verify_fleet_rejects_zero_threads_and_reports_effective_config`
+    /// reads back.
+    static FLEET_GAUGE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn verify_fleet_reports_per_device_verdicts() {
+        let _gauge = FLEET_GAUGE.lock().unwrap_or_else(|e| e.into_inner());
         let (img, map_text, _) = cmd_link(DEMO_PROGRAM, LinkCmdOptions::default()).unwrap();
         let (good, _) = cmd_attest(&img, &map_text, 0, 7, "cli-test", None, None).unwrap();
         let (bad, _) = cmd_attest(&img, &map_text, 0, 8, "cli-test", None, None).unwrap();
@@ -1515,6 +1522,7 @@ skip:
 
     #[test]
     fn verify_fleet_rejects_zero_threads_and_reports_effective_config() {
+        let _gauge = FLEET_GAUGE.lock().unwrap_or_else(|e| e.into_inner());
         let (img, map_text, _) = cmd_link(DEMO_PROGRAM, LinkCmdOptions::default()).unwrap();
         let (good, _) = cmd_attest(&img, &map_text, 0, 7, "cli-test", None, None).unwrap();
         let streams = vec![("alpha.rpt".to_owned(), good)];

@@ -403,8 +403,8 @@ type MacroMap = RwLock<HashMap<(u32, u32), Vec<Arc<DictMacro>>>>;
 ///
 /// The counters are cache-line padded so a worker updating one never
 /// invalidates its neighbours' lines, and they are only touched by
-/// [`Verifier::commit_tally`] — once per job, never from inside the
-/// replay loop.
+/// [`Verifier::commit_tally`] and [`Verifier::verify`] — once per job,
+/// never from inside the replay loop.
 #[derive(Debug)]
 struct Inner {
     /// A MAC context keyed with the device key: every report MAC
@@ -442,11 +442,11 @@ struct Inner {
     wall_ns: CachePadded<AtomicU64>,
 }
 
-/// Plain-integer tallies for one verification job, accumulated on the
-/// stack of whoever drives the replay and published to the shared
-/// [`VerifierStats`](crate::VerifierStats) atomics and the `rap-obs`
-/// registry in one [`Verifier::commit_tally`] call, so the replay hot
-/// loop touches no shared cache line at all.
+/// Plain-integer replay tallies for one [`ReplaySession`], published
+/// to the shared [`VerifierStats`](crate::VerifierStats) atomics and the
+/// `rap-obs` registry in one [`Verifier::commit_tally`] call when the
+/// session ends, so the replay hot loop touches no shared cache line at
+/// all.
 #[derive(Debug, Default)]
 struct StatsTally {
     cache_hits: u64,
@@ -457,12 +457,6 @@ struct StatsTally {
     /// Dictionary spans satisfied from the macro cache (bulk-applied
     /// without re-replaying the sub-path).
     dict_bulk_applies: u64,
-    jobs: u64,
-    wall_ns: u64,
-    accepted: u64,
-    rejected: u64,
-    /// The kind of the job's violation, if it was rejected.
-    violation: Option<&'static str>,
 }
 
 /// Everything replay looks up at one halfword of the image. The site,
@@ -839,24 +833,29 @@ impl Verifier {
     pub fn verify(&self, chal: Challenge, reports: &[Report]) -> Result<VerifiedPath, Violation> {
         let start = Instant::now();
         let _job_span = rap_obs::span("verify_job");
-        let (result, mut tally) = match self.begin(chal, reports) {
-            Ok(session) => session.run_tallied(),
-            Err(v) => (Err(v), StatsTally::default()),
-        };
-        tally.jobs = 1;
-        tally.wall_ns = start.elapsed().as_nanos() as u64;
-        match &result {
-            Ok(_) => tally.accepted = 1,
-            Err(v) => {
-                tally.rejected = 1;
-                tally.violation = Some(v.kind());
-            }
+        let result = self.begin(chal, reports).and_then(ReplaySession::run);
+        let inner = &self.inner;
+        inner.jobs.fetch_add(1, Ordering::Relaxed);
+        inner
+            .wall_ns
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        rap_obs::counter!("verifier_jobs_total").inc();
+        rap_obs::counter!("verifier_jobs_accepted_total").add(u64::from(result.is_ok()));
+        rap_obs::counter!("verifier_jobs_rejected_total").add(u64::from(result.is_err()));
+        // Dynamic (labelled) names: resolved through the registry
+        // directly, not the caching macro — rejection is rare.
+        if let Err(v) = &result {
+            rap_obs::global()
+                .counter(&format!(
+                    "verifier_violations_total{{kind=\"{}\"}}",
+                    v.kind()
+                ))
+                .inc();
         }
-        self.commit_tally(&tally);
         result
     }
 
-    /// Publishes a job's [`StatsTally`]: one relaxed add per shared
+    /// Publishes a session's [`StatsTally`]: one relaxed add per shared
     /// counter and per registry metric, regardless of how many replay
     /// steps the tally covers.
     fn commit_tally(&self, tally: &StatsTally) {
@@ -871,32 +870,18 @@ impl Verifier {
         inner
             .live_steps
             .fetch_add(tally.live_steps, Ordering::Relaxed);
-        inner.jobs.fetch_add(tally.jobs, Ordering::Relaxed);
-        inner.wall_ns.fetch_add(tally.wall_ns, Ordering::Relaxed);
 
-        rap_obs::counter!("verifier_jobs_total").add(tally.jobs);
-        rap_obs::counter!("verifier_jobs_accepted_total").add(tally.accepted);
-        rap_obs::counter!("verifier_jobs_rejected_total").add(tally.rejected);
         rap_obs::counter!("verifier_cache_hits_total").add(tally.cache_hits);
         rap_obs::counter!("verifier_cache_misses_total").add(tally.cache_misses);
         rap_obs::counter!("verifier_segment_builds_total").add(tally.cache_misses);
         rap_obs::counter!("verifier_replay_live_steps_total").add(tally.live_steps);
         rap_obs::counter!("verifier_replay_cached_steps_total").add(tally.cached_steps);
         rap_obs::counter!("verifier_dict_bulk_applies_total").add(tally.dict_bulk_applies);
-        // Dynamic (labelled) names: resolved through the registry
-        // directly, not the caching macro — rejection is rare.
-        if let Some(kind) = tally.violation {
-            rap_obs::global()
-                .counter(&format!("verifier_violations_total{{kind=\"{kind}\"}}"))
-                .inc();
-        }
     }
 
-    /// Authenticates a report stream and returns a resumable
-    /// [`ReplaySession`] positioned at the entry point. [`verify`]
-    /// (which drives the session to completion) is the common path;
-    /// `begin` lets a scheduler interleave many sessions or bound the
-    /// work done per scheduling quantum.
+    /// Authenticates a report stream and returns the [`ReplaySession`]
+    /// that replays it from the entry point; [`ReplaySession::run`]
+    /// finishes it. [`verify`] does both and also counts the job.
     ///
     /// [`verify`]: Verifier::verify
     ///
@@ -999,7 +984,7 @@ impl Verifier {
             spans,
             next_span: 0,
             recording: None,
-            tally: Some(StatsTally::default()),
+            tally: StatsTally::default(),
         })
     }
 
@@ -1376,9 +1361,9 @@ impl Verifier {
     }
 }
 
-/// A resumable replay in progress: the stream has been authenticated
-/// and spliced, and the binary is being replayed against it one
-/// scheduling quantum at a time.
+/// A replay ready to run: the stream has been authenticated and
+/// spliced, and [`run`](ReplaySession::run) replays the binary against
+/// it.
 ///
 /// Replay is a single forward pass. A taken-only conditional whose stub
 /// matches the front packet is read as taken, and a forward-exit loop
@@ -1404,38 +1389,16 @@ pub struct ReplaySession<'v> {
     /// Live recording of the span currently being replayed, if any.
     recording: Option<Recording>,
     /// Plain-integer tallies for everything this session does (zero
-    /// atomics in the replay loop). `Some` until drained: either
-    /// [`Verifier::verify`] takes it to commit with the job's verdict,
-    /// or `Drop` commits it — so a session driven
-    /// externally via [`advance`](ReplaySession::advance) still lands
-    /// in the verifier's stats when it goes out of scope.
-    tally: Option<StatsTally>,
-}
-
-impl Drop for ReplaySession<'_> {
-    fn drop(&mut self) {
-        if let Some(tally) = self.tally.take() {
-            self.verifier.commit_tally(&tally);
-        }
-    }
+    /// atomics in the replay loop), committed when it finishes.
+    tally: StatsTally,
 }
 
 impl ReplaySession<'_> {
-    /// The current replay position.
-    pub fn pc(&self) -> u32 {
-        self.state.pc
-    }
-
-    /// Instructions replayed so far.
-    pub fn steps(&self) -> u64 {
-        self.state.steps
-    }
-
     /// Advances replay by one quantum: one bulk-applied deterministic
     /// stretch (if the PC has a table slot) plus one live instruction.
     /// Returns `None` while the session is still running, or the final
     /// verdict once replay terminates.
-    pub fn advance(&mut self) -> Option<Result<VerifiedPath, Violation>> {
+    fn advance(&mut self) -> Option<Result<VerifiedPath, Violation>> {
         // Dictionary fast path: settle any recording and bulk-apply
         // cached sub-path macros whose span starts at the current log
         // position. No-op (one branch) for uncompressed streams.
@@ -1449,7 +1412,7 @@ impl ReplaySession<'_> {
         // are plain integers on the session and a warm table lookup
         // only reads, so the replay loop writes no shared cache line.
         let max_steps = self.verifier.inner.max_steps;
-        let tally = self.tally.as_mut().expect("session tally present");
+        let tally = &mut self.tally;
         let segment = self.verifier.segment_at(self.state.pc, tally);
         if let Some(segment) = segment.filter(|s| s.steps > 0) {
             self.state.apply(segment);
@@ -1583,9 +1546,8 @@ impl ReplaySession<'_> {
         state.loop_idx += m.loops_used.len();
         state.init_head = state.loop_idx - m.end_pending;
         state.pc = m.end_pc;
-        let tally = self.tally.as_mut().expect("session tally present");
-        tally.cached_steps += m.steps;
-        tally.dict_bulk_applies += 1;
+        self.tally.cached_steps += m.steps;
+        self.tally.dict_bulk_applies += 1;
         rap_obs::event("dict_bulk_apply", span.id as u64, m.steps);
     }
 
@@ -1620,27 +1582,17 @@ impl ReplaySession<'_> {
         }
     }
 
-    /// Drives the session to completion; the session's tallies are
-    /// committed to the verifier's stats when it drops.
+    /// Drives the session to completion and commits its replay
+    /// counters (steps, segment lookups, dictionary applies) to the
+    /// verifier's stats.
     pub fn run(mut self) -> Result<VerifiedPath, Violation> {
-        loop {
-            if let Some(verdict) = self.advance() {
-                return verdict;
-            }
-        }
-    }
-
-    /// Drives the session to completion and hands its tallies to the
-    /// caller instead of committing them, so [`Verifier::verify`] can
-    /// publish the whole job in one commit.
-    fn run_tallied(mut self) -> (Result<VerifiedPath, Violation>, StatsTally) {
         let verdict = loop {
             if let Some(verdict) = self.advance() {
                 break verdict;
             }
         };
-        let tally = self.tally.take().expect("session tally present");
-        (verdict, tally)
+        self.verifier.commit_tally(&self.tally);
+        verdict
     }
 }
 

@@ -9,18 +9,17 @@
 //! [`RoundExemplar`]s, together with the device id and the queue depth
 //! observed when the connection was enqueued.
 //!
-//! Cost discipline (same contract as [`trace`](crate::trace)): a
-//! disabled collector costs one relaxed atomic load plus a branch per
-//! round. Fast rounds on an *enabled* collector cost two additional
-//! relaxed RMWs (the trace-id mint and the seen counter); only rounds
-//! over the threshold build spans and take the ring lock.
+//! Cost discipline: a server without a telemetry plane builds no
+//! collector at all. Fast rounds on a collector cost two relaxed RMWs
+//! (the trace-id mint and the seen counter); only rounds over the
+//! threshold build spans and take the ring lock.
 //!
 //! The collector is deliberately clock-free: callers pass nanosecond
 //! offsets relative to an epoch they own (the server's start instant),
 //! which keeps every method deterministic and directly testable.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::json::Json;
@@ -94,11 +93,9 @@ struct Ring {
 /// Mints per-round trace ids and retains slow-round exemplars in a
 /// bounded ring.
 ///
-/// Constructed disabled; [`RoundCollector::set_enabled`] arms it. A
-/// server owns one collector per instance (rather than a process
+/// A server owns one collector per instance (rather than a process
 /// global) so concurrent servers in one process do not mix exemplars.
 pub struct RoundCollector {
-    enabled: AtomicBool,
     threshold_ns: u64,
     capacity: usize,
     next_trace_id: AtomicU64,
@@ -109,7 +106,6 @@ pub struct RoundCollector {
 impl std::fmt::Debug for RoundCollector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoundCollector")
-            .field("enabled", &self.enabled())
             .field("threshold_ns", &self.threshold_ns)
             .field("capacity", &self.capacity)
             .field("rounds_seen", &self.rounds_seen())
@@ -118,13 +114,12 @@ impl std::fmt::Debug for RoundCollector {
 }
 
 impl RoundCollector {
-    /// Creates a disabled collector: rounds strictly slower than
-    /// `threshold_ns` are retained, at most `capacity` at a time
-    /// (oldest evicted first). A threshold of 0 retains every round —
-    /// useful for tests and for forcing an exemplar in a smoke run.
+    /// Creates a collector: rounds strictly slower than `threshold_ns`
+    /// are retained, at most `capacity` at a time (oldest evicted
+    /// first). A threshold of 0 retains every round — useful for tests
+    /// and for forcing an exemplar in a smoke run.
     pub fn new(threshold_ns: u64, capacity: usize) -> RoundCollector {
         RoundCollector {
-            enabled: AtomicBool::new(false),
             threshold_ns,
             capacity: capacity.max(1),
             next_trace_id: AtomicU64::new(0),
@@ -134,18 +129,6 @@ impl RoundCollector {
                 evicted: 0,
             }),
         }
-    }
-
-    /// Arms or disarms the collector.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether rounds are being tracked — one relaxed load, the whole
-    /// disabled-path cost.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Mints the next trace id (ids start at 1 and never repeat within
@@ -165,7 +148,7 @@ impl RoundCollector {
         self.capacity
     }
 
-    /// Rounds offered to the collector while enabled.
+    /// Rounds offered to the collector.
     pub fn rounds_seen(&self) -> u64 {
         self.rounds_seen.load(Ordering::Relaxed)
     }
@@ -179,9 +162,6 @@ impl RoundCollector {
     /// taken — only when `total_ns` exceeds the threshold, so fast
     /// rounds stay on the lock-free path.
     pub fn record(&self, total_ns: u64, build: impl FnOnce() -> RoundExemplar) {
-        if !self.enabled() {
-            return;
-        }
         self.rounds_seen.fetch_add(1, Ordering::Relaxed);
         if total_ns <= self.threshold_ns {
             return;
@@ -238,17 +218,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
-        let rc = RoundCollector::new(0, 8);
-        rc.record(1_000_000, || panic!("must not build while disabled"));
-        assert_eq!(rc.rounds_seen(), 0);
-        assert!(rc.exemplars().is_empty());
-    }
-
-    #[test]
     fn only_rounds_above_threshold_are_retained() {
         let rc = RoundCollector::new(1_000, 8);
-        rc.set_enabled(true);
         rc.record(500, || panic!("below threshold: must not build"));
         rc.record(1_000, || panic!("at threshold: strictly-above rule"));
         rc.record(1_001, || exemplar(1, 1_001));
@@ -261,7 +232,6 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
         let rc = RoundCollector::new(0, 3);
-        rc.set_enabled(true);
         for i in 1..=5u64 {
             rc.record(i * 10, || exemplar(i, i * 10));
         }
@@ -290,7 +260,6 @@ mod tests {
     #[test]
     fn json_shape_round_trips_through_the_parser() {
         let rc = RoundCollector::new(100, 4);
-        rc.set_enabled(true);
         rc.record(5_000, || exemplar(7, 5_000));
         let text = rc.to_json().to_pretty();
         let doc = crate::json::parse(&text).expect("valid JSON");

@@ -10,9 +10,10 @@
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::client::ClientError;
+use crate::client::{ClientError, RECV_CHUNK};
 use crate::frame::{
-    encode_stats_request, read_frame, write_frame, FrameType, StatsFormat, DEFAULT_MAX_FRAME_LEN,
+    decode_error, encode_stats_request, write_frame, FrameBuf, FrameType, StatsFormat,
+    DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Connection settings for the admin telemetry endpoint.
@@ -58,6 +59,7 @@ impl AdminClient {
         Ok(AdminConn {
             stream,
             max_frame_len: self.max_frame_len,
+            inbuf: FrameBuf::new(RECV_CHUNK),
         })
     }
 }
@@ -68,6 +70,7 @@ impl AdminClient {
 pub struct AdminConn {
     stream: TcpStream,
     max_frame_len: u32,
+    inbuf: FrameBuf,
 }
 
 impl AdminConn {
@@ -95,13 +98,16 @@ impl AdminConn {
 
     fn request(&mut self, frame_type: FrameType, payload: &[u8]) -> Result<String, ClientError> {
         write_frame(&mut self.stream, frame_type, payload)?;
-        let frame = read_frame(&mut self.stream, self.max_frame_len)?
+        let (reply_type, reply) = self
+            .inbuf
+            .read_frame(&mut self.stream, self.max_frame_len)?
             .ok_or(ClientError::Protocol("server closed the admin connection"))?;
-        match frame.frame_type {
-            ft if ft == frame_type => String::from_utf8(frame.payload)
+        match reply_type {
+            ft if ft == frame_type => std::str::from_utf8(reply)
+                .map(str::to_owned)
                 .map_err(|_| ClientError::Protocol("admin reply not UTF-8")),
             FrameType::Error => {
-                let (code, msg) = crate::frame::decode_error(&frame.payload)?;
+                let (code, msg) = decode_error(reply)?;
                 Err(ClientError::Server { code, msg })
             }
             _ => Err(ClientError::Protocol("unexpected admin reply type")),

@@ -534,7 +534,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::frame::{encode_frame, encode_session, read_frame, SessionGrant};
+    use crate::frame::{encode_frame, encode_session, SessionGrant};
 
     const GRANT: SessionGrant = SessionGrant {
         token: ResumeToken {
@@ -545,19 +545,22 @@ mod tests {
     };
 
     /// A scripted server on loopback: accepts one connection, checks
-    /// its `HELLO`, then hands the stream to `script`.
+    /// its `HELLO`, then hands the stream and its receive buffer to
+    /// `script`.
     fn scripted_server(
-        script: impl FnOnce(TcpStream) + Send + 'static,
+        script: impl FnOnce(TcpStream, FrameBuf) + Send + 'static,
     ) -> (AttestClient, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
         let addr = listener.local_addr().expect("bound");
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accepts");
-            let opener = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+            let mut inbuf = FrameBuf::new(RECV_CHUNK);
+            let (opener, _) = inbuf
+                .read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
                 .expect("opener arrives")
                 .expect("opener before EOF");
-            assert_eq!(opener.frame_type, FrameType::Hello);
-            script(stream);
+            assert_eq!(opener, FrameType::Hello);
+            script(stream, inbuf);
         });
         (
             AttestClient::new(addr.to_string(), ClientConfig::default()),
@@ -576,19 +579,18 @@ mod tests {
 
     #[test]
     fn read_next_and_send_raw_work_over_the_receive_buffer() {
-        let (client, server) = scripted_server(|mut stream| {
+        let (client, server) = scripted_server(|mut stream, mut inbuf| {
             stream
                 .write_all(&flush_with(&[
                     (FrameType::Challenge, &[1; 32]),
                     (FrameType::Challenge, &[2; 32]),
                 ]))
                 .unwrap();
-            let raw = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
-                .unwrap()
-                .unwrap();
             assert_eq!(
-                (raw.frame_type, raw.payload.as_slice()),
-                (FrameType::Attest, &b"raw"[..])
+                inbuf
+                    .read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+                    .unwrap(),
+                Some((FrameType::Attest, &b"raw"[..]))
             );
             stream
                 .write_all(&encode_frame(FrameType::Verdict, &[1; 13]))
@@ -620,7 +622,7 @@ mod tests {
     fn close_drains_buffered_frames_up_to_eof() {
         let closed = Arc::new(AtomicBool::new(false));
         let server_closed = Arc::clone(&closed);
-        let (client, server) = scripted_server(move |mut stream| {
+        let (client, server) = scripted_server(move |mut stream, _| {
             // Four frames in one flush: the client's first read buffers
             // all of them, and it reads only the first CHALLENGE.
             stream

@@ -345,44 +345,6 @@ pub fn decode_frame(buf: &[u8], max_len: u32) -> Result<(Frame, usize), FrameErr
     ))
 }
 
-/// Reads one frame from a blocking stream.
-///
-/// Returns `Ok(None)` on a clean EOF *before any header byte* — the
-/// peer closed between frames. EOF mid-frame is
-/// [`FrameError::Truncated`]; read timeouts surface as the underlying
-/// [`std::io::Error`] (kind `WouldBlock`/`TimedOut`).
-pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Frame>, ReadFrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut got = 0usize;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(FrameError::Truncated { offset: got }.into()),
-            Ok(n) => got += n,
-            Err(e) => return Err(ReadFrameError::Io(e)),
-        }
-    }
-    let (frame_type, len) = parse_header(&header, max_len)?;
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < payload.len() {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => {
-                return Err(FrameError::Truncated {
-                    offset: HEADER_LEN + got,
-                }
-                .into())
-            }
-            Ok(n) => got += n,
-            Err(e) => return Err(ReadFrameError::Io(e)),
-        }
-    }
-    Ok(Some(Frame {
-        frame_type,
-        payload,
-    }))
-}
-
 /// Writes one frame to a blocking stream and flushes it.
 pub fn write_frame(
     w: &mut impl Write,
@@ -471,9 +433,14 @@ impl FrameBuf {
         Ok(n)
     }
 
-    /// [`read_frame`] through the buffer: decodes what earlier reads
-    /// left before it reads again, so a flush of several frames costs
-    /// one `read`, not two per frame.
+    /// Takes the next complete frame, reading from a blocking stream
+    /// only when the buffer holds none, so a flush of several frames
+    /// costs one `read`, not two per frame.
+    ///
+    /// Returns `Ok(None)` on a clean EOF with nothing buffered — the
+    /// peer closed between frames. EOF mid-frame is
+    /// [`FrameError::Truncated`]; read timeouts surface as the
+    /// underlying [`std::io::Error`] (kind `WouldBlock`/`TimedOut`).
     pub(crate) fn read_frame(
         &mut self,
         r: &mut impl Read,
@@ -899,25 +866,6 @@ mod tests {
                 Err(FrameError::BadPayload { .. })
             ));
         }
-    }
-
-    #[test]
-    fn read_frame_clean_eof_is_none() {
-        let mut empty: &[u8] = &[];
-        assert!(matches!(
-            read_frame(&mut empty, DEFAULT_MAX_FRAME_LEN),
-            Ok(None)
-        ));
-    }
-
-    #[test]
-    fn read_frame_mid_frame_eof_is_truncated() {
-        let bytes = encode_frame(FrameType::Hello, b"dev");
-        let mut cut: &[u8] = &bytes[..bytes.len() - 1];
-        assert!(matches!(
-            read_frame(&mut cut, DEFAULT_MAX_FRAME_LEN),
-            Err(ReadFrameError::Frame(FrameError::Truncated { .. }))
-        ));
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! check, preserving the disabled-cost guarantee.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex};
@@ -54,9 +54,9 @@ use rap_track::{VerdictRecord, Verifier, VerifierSession};
 use crate::client::RECV_CHUNK;
 use crate::frame::{
     decode_hello, decode_resume, decode_stats_request, encode_error, encode_frame,
-    encode_frame_into, encode_session, read_frame, write_frame, ErrorCode, FrameBuf, FrameError,
-    FrameType, ReadFrameError, ResumeToken, SessionGrant, StatsFormat, Verdict,
-    DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
+    encode_frame_into, encode_session, write_frame, ErrorCode, FrameBuf, FrameError, FrameType,
+    ReadFrameError, ResumeToken, SessionGrant, StatsFormat, Verdict, DEFAULT_MAX_FRAME_LEN,
+    HEADER_LEN,
 };
 
 /// The callback type wrapped by [`RoundHook`].
@@ -140,8 +140,8 @@ pub struct ServerConfig {
     /// Payload-size cap applied before any allocation.
     pub max_frame_len: u32,
     /// Per-connection read deadline; also bounds how long a drain can
-    /// wait on an in-flight round. The opener (`HELLO`/`RESUME`) gets
-    /// at most one second of it.
+    /// wait on an in-flight round. The whole opener (`HELLO`/`RESUME`)
+    /// gets at most one second of it.
     pub read_timeout: Duration,
     /// Per-connection write deadline.
     pub write_timeout: Duration,
@@ -155,9 +155,6 @@ pub struct ServerConfig {
     /// How long a parked session stays resumable after its connection
     /// closes.
     pub resume_ttl: Duration,
-    /// Cap on parked sessions; once full, closing connections simply
-    /// lose resumability (their tokens are rejected).
-    pub resume_capacity: usize,
     /// When set, stop accepting and drain after this many connections
     /// have been accepted — lets scripts run a bounded smoke test
     /// without signal handling.
@@ -172,8 +169,6 @@ pub struct ServerConfig {
     /// retain their full span tree as a [`RoundExemplar`]. Only
     /// meaningful with [`ServerConfig::admin_addr`] set.
     pub slow_round_threshold: Duration,
-    /// Cap on retained slow-round exemplars (oldest evicted first).
-    pub exemplar_capacity: usize,
     /// Cap on the admin plane's per-device telemetry table. Beyond it
     /// the least-recently-touched device row is evicted (counted in
     /// `admin_device_table_evictions_total`), so a churning fleet
@@ -205,11 +200,9 @@ impl Default for ServerConfig {
             session_secret: Vec::new(),
             window: 8,
             resume_ttl: Duration::from_secs(60),
-            resume_capacity: 1024,
             conn_limit: None,
             admin_addr: None,
             slow_round_threshold: Duration::from_millis(5),
-            exemplar_capacity: 64,
             device_table_cap: 1024,
             round_hook: None,
             audit_log: None,
@@ -379,24 +372,6 @@ struct AcceptedConn {
     accept_depth: u32,
 }
 
-/// A connection whose opener has been read: everything
-/// [`serve_connection`] needs to run the session.
-struct PendingConn {
-    conn_id: u64,
-    stream: TcpStream,
-    device: String,
-    requested_window: u16,
-    /// `Some` when the opener was a valid `RESUME` — the parked
-    /// session whose nonce chain continues.
-    restored: Option<VerifierSession>,
-    /// When the accept loop enqueued the connection.
-    accepted_at: Instant,
-    /// When a worker popped it (opener read starts).
-    picked_at: Instant,
-    /// Queue depth at enqueue time.
-    accept_depth: u32,
-}
-
 /// A session parked at connection close, waiting for a `RESUME`.
 struct ResumeEntry {
     session: VerifierSession,
@@ -504,15 +479,17 @@ struct Telemetry {
     devices: Mutex<DeviceTable>,
 }
 
+/// Slow-round exemplars the telemetry plane retains (oldest evicted
+/// first).
+const EXEMPLAR_CAPACITY: usize = 64;
+
 impl Telemetry {
     fn new(config: &ServerConfig) -> Telemetry {
-        let rounds = RoundCollector::new(
-            config.slow_round_threshold.as_nanos() as u64,
-            config.exemplar_capacity,
-        );
-        rounds.set_enabled(true);
         Telemetry {
-            rounds,
+            rounds: RoundCollector::new(
+                config.slow_round_threshold.as_nanos() as u64,
+                EXEMPLAR_CAPACITY,
+            ),
             devices: Mutex::new(DeviceTable::new(config.device_table_cap)),
         }
     }
@@ -624,9 +601,7 @@ impl Server {
                     while let Some(conn) = queue.pop() {
                         rap_obs::gauge!("serve_accept_queue_depth").dec();
                         rap_obs::gauge!("serve_active_connections").inc();
-                        if let Some(pending) = read_opener(&shared, conn) {
-                            serve_connection(&shared, &verifier, pending);
-                        }
+                        serve_connection(&shared, &verifier, conn);
                         rap_obs::gauge!("serve_active_connections").dec();
                     }
                     // Scoped-thread rule from the fleet layer applies
@@ -807,98 +782,87 @@ fn accept_loop(listener: TcpListener, queue: &ConnQueue, shared: &Shared) {
     }
 }
 
-/// How long a popped connection may take to send its opener. A worker
-/// is held while it waits, so `threads` silent peers would stall every
-/// new client for this long; a device sends its opener right after
-/// connecting, so one second is generous. Capped by
-/// [`ServerConfig::read_timeout`].
+/// How long a popped connection may take to send its whole opener. A
+/// worker is held while it waits, so `threads` silent or trickling
+/// peers would stall every new client for this long; a device sends
+/// its opener right after connecting, so one second is generous.
+/// Capped by [`ServerConfig::read_timeout`].
 const OPENER_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Reads a popped connection's opener (`HELLO` or `RESUME`) and
-/// validates its resumption token. A connection that closes first, or
-/// whose opener is bad or later than [`OPENER_TIMEOUT`], gets a typed
-/// `ERROR` where one applies and yields `None`.
-fn read_opener(shared: &Shared, conn: AcceptedConn) -> Option<PendingConn> {
+/// A stream whose reads share one deadline: each read waits only for
+/// the time left, so a peer that trickles bytes cannot stretch it.
+struct Deadline<'a> {
+    stream: &'a mut TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        // std rejects a zero read timeout, and no time left is a
+        // timeout anyway.
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads a popped connection's opener (`HELLO` or `RESUME`) into the
+/// connection's receive buffer, within [`OPENER_TIMEOUT`] in all, and
+/// validates its resumption token. Returns the device, the requested
+/// window and the resumed session; bytes behind the opener stay
+/// buffered for the round loop.
+fn read_opener(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    inbuf: &mut FrameBuf,
+) -> Result<(String, u16, Option<VerifierSession>), Exit> {
     let config = &shared.config;
     let counters = &shared.counters;
-    let AcceptedConn {
-        conn_id,
-        mut stream,
-        accepted_at,
-        accept_depth,
-    } = conn;
-    let picked_at = Instant::now();
-    if shared.shutdown.load(Ordering::SeqCst) {
-        send_error(
-            &mut stream,
-            counters,
-            ErrorCode::Draining,
-            "server draining",
-        );
-        return None;
-    }
-    let _ = stream.set_read_timeout(Some(config.read_timeout.min(OPENER_TIMEOUT)));
-    let frame = match read_frame(&mut stream, config.max_frame_len) {
+    let mut reader = Deadline {
+        stream,
+        at: Instant::now() + config.read_timeout.min(OPENER_TIMEOUT),
+    };
+    let (frame_type, payload) = match inbuf.read_frame(&mut reader, config.max_frame_len) {
         Ok(Some(frame)) => frame,
-        Ok(None) => return None, // closed before the opener
-        Err(e) => {
-            send_read_error(&mut stream, counters, &e);
-            return None;
-        }
+        Ok(None) => return Err(Exit::Gone), // closed before the opener
+        Err(e) => return Err(read_error(e)),
     };
     rap_obs::counter!("serve_frames_rx_total").inc();
-    let opener = match frame.frame_type {
-        FrameType::Hello => {
-            decode_hello(&frame.payload).map(|(window, device)| (window, device, None))
+    let opener = match frame_type {
+        FrameType::Hello => decode_hello(payload).map(|(window, device)| (window, device, None)),
+        FrameType::Resume => {
+            decode_resume(payload).map(|(token, window, device)| (window, device, Some(token)))
         }
-        FrameType::Resume => decode_resume(&frame.payload)
-            .map(|(token, window, device)| (window, device, Some(token))),
         _ => {
-            send_error(
-                &mut stream,
-                counters,
+            return Err(Exit::Error(
                 ErrorCode::Protocol,
-                "expected HELLO or RESUME",
-            );
-            return None;
+                "expected HELLO or RESUME".into(),
+            ))
         }
     };
-    let (requested_window, device, token) = match opener {
-        Ok(opener) => opener,
-        Err(e) => {
-            send_error(&mut stream, counters, ErrorCode::Protocol, &e.to_string());
-            return None;
+    let (window, device, token) =
+        opener.map_err(|e| Exit::Error(ErrorCode::Protocol, e.to_string()))?;
+    let Some(token) = token else {
+        return Ok((device, window, None));
+    };
+    match take_resume_entry(shared, &token, &device) {
+        Ok(session) => {
+            counters.resumed.fetch_add(1, Ordering::Relaxed);
+            rap_obs::counter!("serve_sessions_resumed_total").inc();
+            if let Some(t) = &shared.telemetry {
+                t.devices.lock().unwrap().touch(&device).resumes += 1;
+            }
+            Ok((device, window, Some(session)))
         }
-    };
-    let restored = match token {
-        None => None,
-        Some(token) => match take_resume_entry(shared, &token, &device) {
-            Ok(session) => {
-                counters.resumed.fetch_add(1, Ordering::Relaxed);
-                rap_obs::counter!("serve_sessions_resumed_total").inc();
-                if let Some(t) = &shared.telemetry {
-                    t.devices.lock().unwrap().touch(&device).resumes += 1;
-                }
-                Some(session)
-            }
-            Err(why) => {
-                counters.resume_rejected.fetch_add(1, Ordering::Relaxed);
-                rap_obs::counter!("serve_resume_rejected_total").inc();
-                send_error(&mut stream, counters, ErrorCode::ResumeRejected, why);
-                return None;
-            }
-        },
-    };
-    Some(PendingConn {
-        conn_id,
-        stream,
-        device,
-        requested_window,
-        restored,
-        accepted_at,
-        picked_at,
-        accept_depth,
-    })
+        Err(why) => {
+            counters.resume_rejected.fetch_add(1, Ordering::Relaxed);
+            rap_obs::counter!("serve_resume_rejected_total").inc();
+            Err(Exit::Error(ErrorCode::ResumeRejected, why.into()))
+        }
+    }
 }
 
 /// Validates and consumes a resumption token. The mac check binds the
@@ -928,8 +892,12 @@ fn take_resume_entry(
     Ok(entry.session)
 }
 
+/// Cap on parked sessions; once full, closing connections simply lose
+/// resumability (their tokens are rejected).
+const RESUME_CAPACITY: usize = 1024;
+
 /// Parks a finished connection's session for resumption, purging
-/// expired entries and respecting the capacity cap.
+/// expired entries and respecting [`RESUME_CAPACITY`].
 fn park_session(shared: &Shared, token_id: u64, device: String, mut session: VerifierSession) {
     // Unanswered challenges die with the connection; a resumed window
     // starts fresh (the nonce counter keeps advancing, so nothing is
@@ -938,7 +906,7 @@ fn park_session(shared: &Shared, token_id: u64, device: String, mut session: Ver
     let now = Instant::now();
     let mut table = shared.resume.lock().unwrap();
     table.retain(|_, e| e.expires_at > now);
-    if table.len() >= shared.config.resume_capacity.max(1) {
+    if table.len() >= RESUME_CAPACITY {
         return;
     }
     table.insert(
@@ -1018,11 +986,12 @@ impl TickTally {
     }
 }
 
-/// The server's receive-buffer chunk: once an ATTEST frame has arrived
-/// split across reads, every read of the connection offers at least
-/// this much room (see [`FrameBuf::fill`]). Until then reads offer the
-/// client's [`RECV_CHUNK`], so a connection whose frames each fit one
-/// read, such as one resumed round, never zero-fills 64 KiB.
+/// The server's receive-buffer chunk: once a frame (the opener or an
+/// ATTEST) has arrived split across reads, every read of the connection
+/// offers at least this much room (see [`FrameBuf::fill`]). Until then
+/// reads offer the client's [`RECV_CHUNK`], so a connection whose
+/// frames each fit one read, such as one resumed round, never
+/// zero-fills 64 KiB.
 const FILL_CHUNK: usize = 64 * 1024;
 
 /// Nanoseconds from `epoch` to `t` (0 when `t` precedes the epoch).
@@ -1045,266 +1014,234 @@ struct ConnObs<'a> {
     accept_depth: u32,
 }
 
-fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) {
-    let opener_read_at = Instant::now();
-    let PendingConn {
+/// How a connection ends. [`serve_connection`] flushes the tick and
+/// then answers each one in one place, wherever it arose.
+enum Exit {
+    /// The peer closed or reset between rounds: park its session so the
+    /// device can resume its nonce chain.
+    Park {
+        token_id: u64,
+        device: String,
+        session: VerifierSession,
+    },
+    /// Answer with a typed `ERROR`, then close.
+    Error(ErrorCode, String),
+    /// Close without a word: the peer is gone or never spoke.
+    Gone,
+}
+
+/// The answer to a connection that meets a draining server.
+fn draining() -> Exit {
+    Exit::Error(ErrorCode::Draining, "server draining".into())
+}
+
+fn serve_connection(shared: &Shared, verifier: &Verifier, conn: AcceptedConn) {
+    let AcceptedConn {
         conn_id,
         mut stream,
-        device,
-        requested_window,
-        restored,
         accepted_at,
-        picked_at,
         accept_depth,
-    } = pending;
+    } = conn;
+    let picked_at = Instant::now();
     let config = &shared.config;
     let counters = &shared.counters;
-
-    let obs = shared.telemetry.as_ref().map(|telemetry| ConnObs {
-        telemetry,
-        epoch: shared.epoch,
-        device: device.clone(),
-        accept_start_ns: rel_ns(shared.epoch, accepted_at),
-        accept_dur_ns: picked_at.saturating_duration_since(accepted_at).as_nanos() as u64,
-        opener_start_ns: rel_ns(shared.epoch, picked_at),
-        opener_dur_ns: opener_read_at
-            .saturating_duration_since(picked_at)
-            .as_nanos() as u64,
-        accept_depth,
-    });
-
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    if shared.shutdown.load(Ordering::SeqCst) {
-        send_error(
-            &mut stream,
-            counters,
-            ErrorCode::Draining,
-            "server draining",
-        );
-        return;
-    }
-
-    let resumed = restored.is_some();
-    let mut session = restored.unwrap_or_else(|| {
-        // Per-connection secret: server secret ‖ connection id, so
-        // nonces are unique across connections by construction.
-        let mut secret = config.session_secret.clone();
-        secret.extend_from_slice(&conn_id.to_le_bytes());
-        VerifierSession::from_verifier(verifier.clone(), &secret)
-    });
-    if resumed {
-        session.clear_outstanding();
-    }
-    let window = requested_window.clamp(1, config.window.max(1));
-
-    // Mint this connection's own resumption token — tokens rotate on
-    // every handshake, resumed or not.
-    let token_id = shared.token_seq.fetch_add(1, Ordering::Relaxed);
-    let token = mint_token(&config.session_secret, token_id, &device);
-
-    // Handshake reply: the SESSION grant plus the initial challenge
-    // window, flushed as one write. Every frame of the connection is
-    // encoded straight into `outbuf`, which keeps its capacity.
-    let grant = encode_session(&SessionGrant { token, window });
-    // Room for the SESSION frame and `window` CHALLENGE frames, each
-    // carrying a 32-byte nonce.
-    let mut outbuf =
-        Vec::with_capacity(HEADER_LEN + grant.len() + usize::from(window) * (HEADER_LEN + 32));
-    encode_frame_into(&mut outbuf, FrameType::Session, &grant);
-    // Round trace ids are minted at CHALLENGE issue; `issued` mirrors
-    // the session's FIFO challenge queue (an ATTEST — even a garbage
-    // one — consumes the front challenge, so front-pop stays aligned).
-    let mut issued: VecDeque<(u64, Instant)> = VecDeque::new();
-    for _ in 0..window {
-        let chal = session.issue_windowed_challenge();
-        encode_frame_into(&mut outbuf, FrameType::Challenge, &chal.0);
-        if let Some(obs) = &obs {
-            issued.push_back((obs.telemetry.rounds.mint(), Instant::now()));
-        }
-    }
-    if stream
-        .write_all(&outbuf)
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
-        return;
-    }
-    rap_obs::counter!("serve_frames_tx_total").add(1 + u64::from(window));
-    outbuf.clear();
-
+    // One receive buffer from the opener to the close, so bytes the peer
+    // sent behind its opener reach the round loop.
     let mut inbuf = FrameBuf::growing(RECV_CHUNK, FILL_CHUNK);
+    // Every frame of the connection is encoded straight into `outbuf`,
+    // which keeps its capacity, and leaves in the tick's one write.
+    let mut outbuf = Vec::new();
     let mut tick = TickTally::default();
-    // Set once shutdown is seen: the next drain tick is the last.
-    let mut last_tick = false;
-    loop {
-        // Drain tick: verify every complete frame already buffered,
-        // accumulating verdicts + replacement challenges in `outbuf`
-        // and observability deltas in `tick`.
-        loop {
-            match inbuf.next_frame(config.max_frame_len) {
-                Ok(None) => break,
-                Ok(Some((FrameType::Attest, payload))) => {
-                    tick.frames_rx += 1;
-                    if session.outstanding_count() == 0 {
-                        // The client wrote past its granted window.
-                        flush_tick(
-                            &mut stream,
-                            &mut outbuf,
-                            &mut tick,
-                            counters,
-                            obs.as_ref(),
-                            shared.audit.as_ref(),
-                        );
-                        send_error(
-                            &mut stream,
-                            counters,
-                            ErrorCode::Protocol,
-                            "attest with no outstanding challenge (window overrun)",
-                        );
-                        return;
-                    }
-                    let started = Instant::now();
-                    let (record, _) = session.check_response_record(&device, payload);
-                    let replay_ns = started.elapsed().as_nanos() as u64;
-                    tick.latencies_ns.push(replay_ns);
-                    let accepted = record.accepted();
-                    if accepted {
-                        tick.accepted += 1;
-                    } else {
-                        tick.rejected += 1;
-                    }
-                    if let Some(hook) = &config.round_hook {
-                        (hook.0)(&RoundEvent::Verdict {
-                            device: device.clone(),
-                            record: record.clone(),
-                        });
-                    }
-                    let verdict = Verdict::from_record(&record);
-                    if shared.audit.is_some() {
-                        tick.records.push(record);
-                    }
-                    encode_frame_into(&mut outbuf, FrameType::Verdict, &verdict.encode());
-                    let chal = session.issue_windowed_challenge();
-                    encode_frame_into(&mut outbuf, FrameType::Challenge, &chal.0);
-                    tick.frames_tx += 2;
-                    if let Some(obs) = &obs {
-                        // This ATTEST consumed the front challenge; its
-                        // replacement challenge starts the next round.
-                        let (trace_id, issued_at) = issued.pop_front().unwrap_or((0, started));
-                        tick.rounds.push(PendingRound {
-                            trace_id,
-                            issued_at,
-                            replay_start: started,
-                            replay_ns,
-                            accepted,
-                        });
-                        issued.push_back((obs.telemetry.rounds.mint(), Instant::now()));
-                    }
-                }
-                Ok(Some(_)) => {
-                    flush_tick(
-                        &mut stream,
-                        &mut outbuf,
-                        &mut tick,
-                        counters,
-                        obs.as_ref(),
-                        shared.audit.as_ref(),
-                    );
-                    send_error(
-                        &mut stream,
-                        counters,
-                        ErrorCode::Protocol,
-                        "expected ATTEST",
-                    );
-                    return;
-                }
-                Err(e) => {
-                    flush_tick(
-                        &mut stream,
-                        &mut outbuf,
-                        &mut tick,
-                        counters,
-                        obs.as_ref(),
-                        shared.audit.as_ref(),
-                    );
-                    let code = match e {
-                        FrameError::Oversized { .. } => ErrorCode::Oversized,
-                        _ => ErrorCode::Protocol,
-                    };
-                    send_error(&mut stream, counters, code, &e.to_string());
-                    return;
-                }
-            }
-        }
-        if !flush_tick(
-            &mut stream,
-            &mut outbuf,
-            &mut tick,
-            counters,
-            obs.as_ref(),
-            shared.audit.as_ref(),
-        ) {
-            return;
-        }
-        if last_tick {
-            send_error(
-                &mut stream,
-                counters,
-                ErrorCode::Draining,
-                "server draining",
-            );
-            return;
-        }
+    let mut obs = None;
+
+    let exit = 'conn: {
         if shared.shutdown.load(Ordering::SeqCst) {
-            // Drain: take what the socket already holds without waiting
-            // for more, verify its complete frames in one last tick,
-            // then answer `Draining`.
-            last_tick = true;
-            let _ = stream.set_nonblocking(true);
-            let _ = inbuf.fill(&mut stream);
-            let _ = stream.set_nonblocking(false);
-            continue;
+            break 'conn draining();
         }
-        match inbuf.fill(&mut stream) {
-            // Clean close between frames: park the session so the
-            // device can resume its nonce chain.
-            Ok(0) => {
-                park_session(shared, token_id, device, session);
-                return;
+        let (device, requested_window, restored) =
+            match read_opener(shared, &mut stream, &mut inbuf) {
+                Ok(opener) => opener,
+                Err(exit) => break 'conn exit,
+            };
+        let opener_read_at = Instant::now();
+        obs = shared.telemetry.as_ref().map(|telemetry| ConnObs {
+            telemetry,
+            epoch: shared.epoch,
+            device: device.clone(),
+            accept_start_ns: rel_ns(shared.epoch, accepted_at),
+            accept_dur_ns: picked_at.saturating_duration_since(accepted_at).as_nanos() as u64,
+            opener_start_ns: rel_ns(shared.epoch, picked_at),
+            opener_dur_ns: opener_read_at
+                .saturating_duration_since(picked_at)
+                .as_nanos() as u64,
+            accept_depth,
+        });
+
+        let _ = stream.set_read_timeout(Some(config.read_timeout));
+        let _ = stream.set_write_timeout(Some(config.write_timeout));
+        let _ = stream.set_nodelay(true);
+
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break 'conn draining();
+        }
+
+        let resumed = restored.is_some();
+        let mut session = restored.unwrap_or_else(|| {
+            // Per-connection secret: server secret ‖ connection id, so
+            // nonces are unique across connections by construction.
+            let mut secret = config.session_secret.clone();
+            secret.extend_from_slice(&conn_id.to_le_bytes());
+            VerifierSession::from_verifier(verifier.clone(), &secret)
+        });
+        if resumed {
+            session.clear_outstanding();
+        }
+        let window = requested_window.clamp(1, config.window.max(1));
+
+        // Mint this connection's own resumption token — tokens rotate on
+        // every handshake, resumed or not.
+        let token_id = shared.token_seq.fetch_add(1, Ordering::Relaxed);
+        let token = mint_token(&config.session_secret, token_id, &device);
+
+        // Handshake reply: the SESSION grant plus the initial challenge
+        // window, flushed with the first drain tick.
+        let grant = encode_session(&SessionGrant { token, window });
+        // Room for the SESSION frame and `window` CHALLENGE frames, each
+        // carrying a 32-byte nonce.
+        outbuf.reserve(HEADER_LEN + grant.len() + usize::from(window) * (HEADER_LEN + 32));
+        encode_frame_into(&mut outbuf, FrameType::Session, &grant);
+        tick.frames_tx += 1 + u64::from(window);
+        // Round trace ids are minted at CHALLENGE issue; `issued` mirrors
+        // the session's FIFO challenge queue (an ATTEST — even a garbage
+        // one — consumes the front challenge, so front-pop stays aligned).
+        let mut issued: VecDeque<(u64, Instant)> = VecDeque::new();
+        for _ in 0..window {
+            let chal = session.issue_windowed_challenge();
+            encode_frame_into(&mut outbuf, FrameType::Challenge, &chal.0);
+            if let Some(obs) = &obs {
+                issued.push_back((obs.telemetry.rounds.mint(), Instant::now()));
             }
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    send_error(
-                        &mut stream,
-                        counters,
-                        ErrorCode::Draining,
-                        "server draining",
-                    );
-                } else {
-                    send_error(
-                        &mut stream,
-                        counters,
-                        ErrorCode::Timeout,
-                        "read deadline expired",
+        }
+
+        // Set once shutdown is seen: the next drain tick is the last.
+        let mut last_tick = false;
+        loop {
+            // Drain tick: verify every complete frame already buffered,
+            // accumulating verdicts + replacement challenges in `outbuf`
+            // and observability deltas in `tick`.
+            loop {
+                let payload = match inbuf.next_frame(config.max_frame_len) {
+                    Ok(None) => break,
+                    Ok(Some((FrameType::Attest, payload))) => payload,
+                    Ok(Some(_)) => {
+                        break 'conn Exit::Error(ErrorCode::Protocol, "expected ATTEST".into())
+                    }
+                    Err(e) => break 'conn read_error(e.into()),
+                };
+                tick.frames_rx += 1;
+                if session.outstanding_count() == 0 {
+                    // The client wrote past its granted window.
+                    break 'conn Exit::Error(
+                        ErrorCode::Protocol,
+                        "attest with no outstanding challenge (window overrun)".into(),
                     );
                 }
-                return;
+                let started = Instant::now();
+                let (record, _) = session.check_response_record(&device, payload);
+                let replay_ns = started.elapsed().as_nanos() as u64;
+                tick.latencies_ns.push(replay_ns);
+                let accepted = record.accepted();
+                if accepted {
+                    tick.accepted += 1;
+                } else {
+                    tick.rejected += 1;
+                }
+                if let Some(hook) = &config.round_hook {
+                    (hook.0)(&RoundEvent::Verdict {
+                        device: device.clone(),
+                        record: record.clone(),
+                    });
+                }
+                let verdict = Verdict::from_record(&record);
+                if shared.audit.is_some() {
+                    tick.records.push(record);
+                }
+                encode_frame_into(&mut outbuf, FrameType::Verdict, &verdict.encode());
+                let chal = session.issue_windowed_challenge();
+                encode_frame_into(&mut outbuf, FrameType::Challenge, &chal.0);
+                tick.frames_tx += 2;
+                if let Some(obs) = &obs {
+                    // This ATTEST consumed the front challenge; its
+                    // replacement challenge starts the next round.
+                    let (trace_id, issued_at) = issued.pop_front().unwrap_or((0, started));
+                    tick.rounds.push(PendingRound {
+                        trace_id,
+                        issued_at,
+                        replay_start: started,
+                        replay_ns,
+                        accepted,
+                    });
+                    issued.push_back((obs.telemetry.rounds.mint(), Instant::now()));
+                }
             }
-            // An abrupt close (unread challenges force a reset) still
-            // parks the session — the device likely wants to resume.
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {
-                park_session(shared, token_id, device, session);
-                return;
+            if !flush_tick(
+                &mut stream,
+                &mut outbuf,
+                &mut tick,
+                counters,
+                obs.as_ref(),
+                shared.audit.as_ref(),
+            ) {
+                break 'conn Exit::Gone;
             }
-            Err(_) => return,
+            if last_tick {
+                break 'conn draining();
+            }
+            if shared.shutdown.load(Ordering::SeqCst) {
+                // Drain: take what the socket already holds without
+                // waiting for more, verify its complete frames in one
+                // last tick, then answer `Draining`.
+                last_tick = true;
+                let _ = stream.set_nonblocking(true);
+                let _ = inbuf.fill(&mut stream);
+                let _ = stream.set_nonblocking(false);
+                continue;
+            }
+            break 'conn match inbuf.fill(&mut stream) {
+                Ok(n) if n > 0 => continue,
+                Err(e) if timed_out(&e) && shared.shutdown.load(Ordering::SeqCst) => draining(),
+                Err(e) if timed_out(&e) => read_error(ReadFrameError::Io(e)),
+                Err(e) if e.kind() != std::io::ErrorKind::ConnectionReset => Exit::Gone,
+                // A close, even an abrupt one (unread challenges force a
+                // reset), parks the session: the device likely wants to
+                // resume.
+                _ => Exit::Park {
+                    token_id,
+                    device,
+                    session,
+                },
+            };
         }
+    };
+
+    // What the tick verified goes out first (audit log before wire, as
+    // in every tick), then the connection's last word.
+    flush_tick(
+        &mut stream,
+        &mut outbuf,
+        &mut tick,
+        counters,
+        obs.as_ref(),
+        shared.audit.as_ref(),
+    );
+    match exit {
+        Exit::Park {
+            token_id,
+            device,
+            session,
+        } => park_session(shared, token_id, device, session),
+        Exit::Error(code, msg) => send_error(&mut stream, counters, code, &msg),
+        Exit::Gone => {}
     }
 }
 
@@ -1462,18 +1399,19 @@ fn serve_admin_conn(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(ADMIN_READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
+    let mut inbuf = FrameBuf::new(RECV_CHUNK);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let frame = match read_frame(&mut stream, ADMIN_MAX_FRAME_LEN) {
+        let (frame_type, payload) = match inbuf.read_frame(&mut stream, ADMIN_MAX_FRAME_LEN) {
             Ok(Some(frame)) => frame,
             // Clean close, idle timeout, or garbage: drop the scraper
             // and serve the next one.
             Ok(None) | Err(_) => return,
         };
-        let reply = match frame.frame_type {
-            FrameType::Stats => match decode_stats_request(&frame.payload) {
+        let reply = match frame_type {
+            FrameType::Stats => match decode_stats_request(payload) {
                 Ok(StatsFormat::Prometheus) => {
                     rap_obs::global().snapshot().to_prometheus().into_bytes()
                 }
@@ -1499,7 +1437,7 @@ fn serve_admin_conn(shared: &Shared, mut stream: TcpStream) {
                 return;
             }
         };
-        if write_frame(&mut stream, frame.frame_type, &reply).is_err() {
+        if write_frame(&mut stream, frame_type, &reply).is_err() {
             return;
         }
         rap_obs::counter!("serve_admin_scrapes_total").inc();
@@ -1595,21 +1533,25 @@ fn send_error(w: &mut impl Write, counters: &Counters, code: ErrorCode, msg: &st
     }
 }
 
-fn send_read_error(stream: &mut TcpStream, counters: &Counters, err: &ReadFrameError) {
-    let (code, msg) = match err {
-        ReadFrameError::Frame(FrameError::Oversized { .. }) => {
-            (ErrorCode::Oversized, err.to_string())
+/// The `ERROR` a failed frame read is answered with.
+fn read_error(e: ReadFrameError) -> Exit {
+    let code = match &e {
+        ReadFrameError::Frame(FrameError::Oversized { .. }) => ErrorCode::Oversized,
+        ReadFrameError::Frame(_) => ErrorCode::Protocol,
+        ReadFrameError::Io(io) if timed_out(io) => {
+            return Exit::Error(ErrorCode::Timeout, "read deadline expired".into())
         }
-        ReadFrameError::Frame(_) => (ErrorCode::Protocol, err.to_string()),
-        ReadFrameError::Io(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            (ErrorCode::Timeout, "read deadline expired".to_string())
-        }
-        ReadFrameError::Io(_) => (ErrorCode::Internal, err.to_string()),
+        ReadFrameError::Io(_) => ErrorCode::Internal,
     };
-    send_error(stream, counters, code, &msg);
+    Exit::Error(code, e.to_string())
+}
+
+/// Whether a read failed at its deadline.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
 }
 
 #[cfg(test)]

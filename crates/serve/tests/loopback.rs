@@ -6,11 +6,16 @@
 //! verdict or error — no connection ever observes a panic or an
 //! unbounded hang.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rap_obs::Json;
-use rap_serve::frame::{decode_error, encode_frame};
+use rap_serve::frame::{
+    decode_error, decode_frame, encode_frame, encode_hello, encode_stats_request,
+    DEFAULT_MAX_FRAME_LEN,
+};
 use rap_serve::{
     AdminClient, AttestClient, ClientConfig, ClientError, ErrorCode, FrameType, Server,
     ServerConfig, StartError, StatsFormat,
@@ -498,6 +503,104 @@ fn silent_peers_release_their_workers_at_the_opener_deadline() {
     );
 
     drop(silent);
+    server.shutdown();
+}
+
+#[test]
+fn trickling_openers_release_their_workers_at_the_opener_deadline() {
+    let (linked, _w) = deployed();
+    let server = Server::start(
+        test_verifier(&linked),
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 2,
+            ..test_config()
+        },
+    )
+    .expect("binds");
+    // Two raw TCP peers, one per worker, that send a HELLO one byte per
+    // 300 ms: every read of the opener makes progress, so only a
+    // deadline over the whole opener releases their workers.
+    let hello = encode_frame(FrameType::Hello, &encode_hello(1, "trickler"));
+    let stop = Arc::new(AtomicBool::new(false));
+    let tricklers: Vec<_> = (0..2)
+        .map(|_| {
+            let mut peer = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+            let hello = hello.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                for byte in hello.chunks(1) {
+                    if stop.load(Ordering::SeqCst) || peer.write_all(byte).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+            })
+        })
+        .collect();
+
+    let waited = time_to_first_challenge(&quick_client(server.local_addr()), "behind-tricklers");
+    stop.store(true, Ordering::SeqCst);
+    for trickler in tricklers {
+        trickler.join().expect("trickler exits");
+    }
+    assert!(
+        waited < Duration::from_secs(2),
+        "two trickling peers held both workers for {waited:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn frames_sent_with_the_opener_reach_the_round_loop() {
+    let (linked, _w) = deployed();
+    let read_timeout = Duration::from_secs(3);
+    let server = Server::start(
+        test_verifier(&linked),
+        "127.0.0.1:0",
+        ServerConfig {
+            read_timeout,
+            ..test_config()
+        },
+    )
+    .expect("binds");
+    let mut peer = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("sets deadline");
+    // HELLO and an out-of-place STATS frame in one write: the opener's
+    // read may take both, and the round loop must still see the STATS.
+    let mut burst = encode_frame(FrameType::Hello, &encode_hello(1, "eager"));
+    burst.extend_from_slice(&encode_frame(
+        FrameType::Stats,
+        &encode_stats_request(StatsFormat::Json),
+    ));
+    let started = Instant::now();
+    peer.write_all(&burst).expect("writes");
+    let mut wire = Vec::new();
+    peer.read_to_end(&mut wire)
+        .expect("server answers and closes");
+    let answered = started.elapsed();
+
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at < wire.len() {
+        let (frame, used) = decode_frame(&wire[at..], DEFAULT_MAX_FRAME_LEN).expect("decodes");
+        frames.push(frame);
+        at += used;
+    }
+    let types: Vec<FrameType> = frames.iter().map(|f| f.frame_type).collect();
+    assert_eq!(
+        types,
+        [FrameType::Session, FrameType::Challenge, FrameType::Error]
+    );
+    assert_eq!(
+        decode_error(&frames[2].payload).expect("error decodes"),
+        (ErrorCode::Protocol, "expected ATTEST".to_string())
+    );
+    assert!(
+        answered < read_timeout / 3,
+        "answered after {answered:?}: the STATS frame waited for the read deadline"
+    );
     server.shutdown();
 }
 

@@ -413,25 +413,27 @@ fn replay_cache_shared_across_jobs() {
     assert_eq!(clone.stats().cache_misses, after_first.cache_misses);
 }
 
-/// The resumable stepper, driven one quantum at a time, reaches the
-/// same verdict as the one-shot entry point.
+/// `begin` then `run` reaches the verdict `verify` does, and `run`
+/// commits its replay counters to the verifier's stats.
 #[test]
-fn stepper_quanta_match_one_shot_verify() {
+fn begin_then_run_matches_verify_and_moves_stats() {
     let attested = mtb_heavy_attested();
     let verifier = verifier_for(&attested);
     let oneshot = verifier.verify(attested.chal, &attested.reports);
 
-    let mut session = verifier
+    let before = verifier.stats();
+    let ran = verifier
         .begin(attested.chal, &attested.reports)
-        .expect("stream authenticates");
-    let mut quanta = 0u64;
-    let stepped = loop {
-        quanta += 1;
-        assert!(quanta < 1_000_000, "session failed to terminate");
-        if let Some(verdict) = session.advance() {
-            break verdict;
-        }
-    };
-    assert_eq!(oneshot, stepped);
-    assert!(quanta > 1, "a real program needs several quanta");
+        .expect("stream authenticates")
+        .run();
+    let after = verifier.stats();
+    assert_eq!(oneshot, ran);
+    let steps = |s: &rap_track::VerifierStats| s.cached_steps + s.live_steps;
+    assert_eq!(
+        steps(&after) - steps(&before),
+        ran.expect("benign stream verifies").steps,
+        "run commits every replayed step"
+    );
+    assert!(after.cache_hits > before.cache_hits, "and its lookups");
+    assert_eq!(after.jobs, before.jobs, "a job is counted by verify alone");
 }
