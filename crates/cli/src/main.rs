@@ -18,10 +18,10 @@ USAGE:
   rap attest  <img> <map> --chal N -o <out.rpt>
               [--base ADDR] [--key SEED] [--watermark N] [--dict DICT]
   rap verify  <img> <map> <rpt> --chal N [--base ADDR] [--key SEED]
-              [--dict DICT] [--metrics OUT.json] [--trace OUT]
+              [--dict DICT] [--metrics OUT.json] [--trace OUT.json]
   rap verify-fleet <img> <map> <rpt>... --chal N [--base ADDR]
               [--key SEED] [--threads T] [--dict DICT]
-              [--metrics OUT.json] [--trace OUT]
+              [--metrics OUT.json] [--trace OUT.json]
   rap profile <img> <map> -o <out.dict> [--base ADDR] [--label NAME]
               [--top-k K] [--min-support N] [--max-len L]
               [--watermark N] [--max-instrs N]   # mine a sub-path dict
@@ -31,7 +31,8 @@ USAGE:
               [--limit N] [--secret S] [--window W] [--admin HOST:PORT]
               [--slow-ms N] [--dict DICT] [--metrics OUT.json]
               [--audit-log LOG] [--base ADDR]
-              # T workers (default 4), each serving one connection at a time
+              # T workers (default 4), each serving one connection at a time;
+              # no --trace: per-round spans are the admin plane's (rap top)
   rap audit   verify <log> [--key SEED]   # replay the hash chain
   rap audit   show <log> [--key SEED]     # render every sealed verdict
   rap audit   tail <log> [--key SEED] [--last N]
@@ -147,10 +148,10 @@ impl Args {
     }
 }
 
-/// The `--metrics` / `--trace` outputs of a verify command: captured
-/// before the run (registry baseline, collector enablement), written
-/// after it — including on rejection, which is exactly when an operator
-/// wants the numbers.
+/// The `--metrics` / `--trace` outputs of a command: the registry
+/// baseline is captured before the run, and both files are written
+/// after it — including on rejection, which is exactly when an
+/// operator wants the numbers. Only the verify commands have a trace.
 struct ObsOutputs {
     metrics_path: Option<String>,
     trace_path: Option<String>,
@@ -159,32 +160,25 @@ struct ObsOutputs {
 
 impl ObsOutputs {
     fn begin(args: &Args) -> ObsOutputs {
-        let trace_path = args.flag("trace").map(str::to_owned);
-        if trace_path.is_some() {
-            rap_obs::enable_tracing(0);
-        }
         ObsOutputs {
             metrics_path: args.flag("metrics").map(str::to_owned),
-            trace_path,
+            trace_path: args.flag("trace").map(str::to_owned),
             baseline: rap_obs::global().snapshot(),
         }
     }
 
-    fn finish(self, stats: &rap_track::VerifierStats) -> Result<(), CliError> {
+    fn finish(
+        self,
+        stats: &rap_track::VerifierStats,
+        trace: Option<&rap_obs::RoundCollector>,
+    ) -> Result<(), CliError> {
         if let Some(path) = &self.metrics_path {
             fs::write(path, rap_cli::metrics_json(&self.baseline, stats))?;
             eprintln!("metrics -> {path}");
         }
-        if let Some(path) = &self.trace_path {
-            rap_obs::disable_tracing();
-            let events = rap_obs::drain_events();
-            let body = if path.ends_with(".json") {
-                rap_obs::trace::to_json(&events).to_pretty()
-            } else {
-                rap_obs::trace::render_text(&events)
-            };
-            fs::write(path, body)?;
-            eprintln!("trace   -> {path} ({} events)", events.len());
+        if let (Some(path), Some(trace)) = (&self.trace_path, trace) {
+            fs::write(path, trace.to_json().to_pretty())?;
+            eprintln!("trace   -> {path} ({} job span(s))", trace.rounds_seen());
         }
         Ok(())
     }
@@ -250,7 +244,7 @@ fn run() -> Result<(), CliError> {
             let img = fs::read(&args.positional[0])?;
             let map = fs::read_to_string(&args.positional[1])?;
             let chal = args.num("chal", 0)?;
-            let key = args.flag("key").unwrap_or("default-device");
+            let key = args.flag("key").unwrap_or(rap_cli::DEFAULT_KEY_SEED);
             let watermark = args
                 .flag("watermark")
                 .map(|w| {
@@ -307,12 +301,12 @@ fn run() -> Result<(), CliError> {
             let map = fs::read_to_string(&args.positional[1])?;
             let rpt = fs::read(&args.positional[2])?;
             let chal = args.num("chal", 0)?;
-            let key = args.flag("key").unwrap_or("default-device");
+            let key = args.flag("key").unwrap_or(rap_cli::DEFAULT_KEY_SEED);
             let dict = args.flag("dict").map(fs::read_to_string).transpose()?;
             let obs = ObsOutputs::begin(&args);
-            let (ok, verdict, stats) =
+            let (ok, verdict, stats, trace) =
                 rap_cli::cmd_verify(&img, &map, &rpt, base, chal, key, dict.as_deref())?;
-            obs.finish(&stats)?;
+            obs.finish(&stats, Some(&trace))?;
             println!("{verdict}");
             if !ok {
                 std::process::exit(1);
@@ -327,7 +321,7 @@ fn run() -> Result<(), CliError> {
                 streams.push((path.clone(), fs::read(path)?));
             }
             let chal = args.num("chal", 0)?;
-            let key = args.flag("key").unwrap_or("default-device");
+            let key = args.flag("key").unwrap_or(rap_cli::DEFAULT_KEY_SEED);
             // Absent flag means "use every core"; an explicit value is
             // passed through verbatim so `--threads 0` is *rejected*
             // downstream instead of silently clamped.
@@ -340,7 +334,7 @@ fn run() -> Result<(), CliError> {
             };
             let dict = args.flag("dict").map(fs::read_to_string).transpose()?;
             let obs = ObsOutputs::begin(&args);
-            let (ok, verdict, stats) = rap_cli::cmd_verify_fleet(
+            let (ok, verdict, stats, trace) = rap_cli::cmd_verify_fleet(
                 &img,
                 &map,
                 &streams,
@@ -350,7 +344,7 @@ fn run() -> Result<(), CliError> {
                 threads,
                 dict.as_deref(),
             )?;
-            obs.finish(&stats)?;
+            obs.finish(&stats, Some(&trace))?;
             print!("{verdict}");
             if !ok {
                 std::process::exit(1);
@@ -381,20 +375,30 @@ fn run() -> Result<(), CliError> {
         }
         "serve" => {
             need(2)?;
+            if args.has("trace") {
+                return Err(CliError(
+                    "rap serve has no --trace: its per-round spans are the admin plane's \
+                     (--admin ADDR, then `rap top ADDR`)"
+                        .into(),
+                ));
+            }
             let img = fs::read(&args.positional[0])?;
             let map = fs::read_to_string(&args.positional[1])?;
+            let defaults = rap_cli::ServeCmdOptions::default();
             let options = rap_cli::ServeCmdOptions {
                 base,
-                key_seed: args.flag("key").unwrap_or("default-device").to_owned(),
-                addr: args.flag("addr").unwrap_or("127.0.0.1:0").to_owned(),
-                threads: args.num("threads", 4)?.max(1) as usize,
+                key_seed: args.flag("key").unwrap_or(&defaults.key_seed).to_owned(),
+                addr: args.flag("addr").unwrap_or(&defaults.addr).to_owned(),
+                threads: args.num("threads", defaults.threads as u64)?.max(1) as usize,
                 limit: if args.has("limit") {
                     Some(args.num("limit", 0)?)
                 } else {
                     None
                 },
                 secret: args.flag("secret").map(str::to_owned),
-                window: args.num("window", 8)?.min(u16::MAX as u64) as u16,
+                window: args
+                    .num("window", u64::from(defaults.window))?
+                    .min(u16::MAX as u64) as u16,
                 admin: args.flag("admin").map(str::to_owned),
                 slow_ms: if args.has("slow-ms") {
                     Some(args.num("slow-ms", 0)?)
@@ -434,22 +438,23 @@ fn run() -> Result<(), CliError> {
                 stats.shed,
                 stats.errors_sent
             );
-            obs.finish(&verifier.stats())?;
+            obs.finish(&verifier.stats(), None)?;
         }
         "attest-remote" => {
             need(2)?;
             let img = fs::read(&args.positional[0])?;
             let map = fs::read_to_string(&args.positional[1])?;
+            let defaults = rap_cli::AttestRemoteCmdOptions::default();
             let options = rap_cli::AttestRemoteCmdOptions {
                 base,
-                key_seed: args.flag("key").unwrap_or("default-device").to_owned(),
+                key_seed: args.flag("key").unwrap_or(&defaults.key_seed).to_owned(),
                 addr: args
                     .flag("addr")
                     .ok_or_else(|| CliError("missing --addr HOST:PORT".into()))?
                     .to_owned(),
-                device: args.flag("device").unwrap_or("device-0").to_owned(),
-                rounds: args.num("rounds", 1)? as u32,
-                retries: args.num("retries", 4)? as u32,
+                device: args.flag("device").unwrap_or(&defaults.device).to_owned(),
+                rounds: args.num("rounds", u64::from(defaults.rounds))? as u32,
+                retries: args.num("retries", u64::from(defaults.retries))? as u32,
                 watermark: args
                     .flag("watermark")
                     .map(|w| {
@@ -457,7 +462,9 @@ fn run() -> Result<(), CliError> {
                             .map_err(|_| CliError(format!("bad --watermark `{w}`")))
                     })
                     .transpose()?,
-                window: args.num("window", 1)?.min(u16::MAX as u64) as u16,
+                window: args
+                    .num("window", u64::from(defaults.window))?
+                    .min(u16::MAX as u64) as u16,
                 resume: args.has("resume"),
                 dict: args.flag("dict").map(fs::read_to_string).transpose()?,
             };

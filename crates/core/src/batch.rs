@@ -45,6 +45,9 @@ pub struct JobOutcome {
     pub device: String,
     /// The verification verdict.
     pub result: Result<VerifiedPath, Violation>,
+    /// When the job started, as an offset from the start of the
+    /// [`Fleet::run`] or [`Fleet::sequential`] call that ran it.
+    pub start: Duration,
     /// Wall-clock time this job spent in `verify`.
     pub wall: Duration,
 }
@@ -95,6 +98,7 @@ impl Fleet<'_> {
         if jobs.is_empty() {
             return Vec::new();
         }
+        let epoch = Instant::now();
         let threads = effective_threads(jobs.len(), self.threads);
         rap_obs::gauge!("fleet_effective_threads").set(threads as i64);
 
@@ -108,14 +112,8 @@ impl Fleet<'_> {
                         loop {
                             let index = next.fetch_add(1, Ordering::Relaxed);
                             let Some(job) = jobs.get(index) else { break };
-                            done.push((index, self.verify_job(job)));
+                            done.push((index, self.verify_job(job, epoch)));
                         }
-                        // Flush this worker's trace ring *inside* the
-                        // closure: scoped threads signal completion
-                        // before their TLS destructors run, so a drain
-                        // right after `run` returns would otherwise
-                        // race the implicit flush.
-                        rap_obs::flush_thread();
                         done
                     })
                 })
@@ -133,13 +131,16 @@ impl Fleet<'_> {
     /// baselines: the same jobs, verified on the calling thread (the
     /// handle's worker count is ignored).
     pub fn sequential(&self, jobs: Vec<FleetJob>) -> Vec<JobOutcome> {
-        jobs.iter().map(|job| self.verify_job(job)).collect()
+        let epoch = Instant::now();
+        jobs.iter().map(|job| self.verify_job(job, epoch)).collect()
     }
 
     /// Verifies one job and records it into the shared per-job latency
     /// histogram and job counter (the same metrics for batch and
     /// sequential paths, so their totals are directly comparable).
-    fn verify_job(&self, job: &FleetJob) -> JobOutcome {
+    /// `epoch` is the start of the batch, which the outcome's `start`
+    /// is measured from.
+    fn verify_job(&self, job: &FleetJob, epoch: Instant) -> JobOutcome {
         let start = Instant::now();
         let result = self.verifier.verify(job.chal, &job.reports);
         let wall = start.elapsed();
@@ -149,6 +150,7 @@ impl Fleet<'_> {
         JobOutcome {
             device: job.device.clone(),
             result,
+            start: start.duration_since(epoch),
             wall,
         }
     }

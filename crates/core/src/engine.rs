@@ -121,7 +121,6 @@ impl EngineSecureWorld<'_> {
             rap_obs::counter!("engine_partial_reports_total").inc();
         }
         rap_obs::counter!("engine_cflog_bytes_total").add(bytes as u64);
-        rap_obs::event("report_flush", seq as u64, bytes as u64);
         cycles::REPORT_FIXED + cycles::REPORT_PER_BYTE * bytes as u64
     }
 }

@@ -832,7 +832,6 @@ impl Verifier {
     /// failures first, then replay divergences.
     pub fn verify(&self, chal: Challenge, reports: &[Report]) -> Result<VerifiedPath, Violation> {
         let start = Instant::now();
-        let _job_span = rap_obs::span("verify_job");
         let result = self.begin(chal, reports).and_then(ReplaySession::run);
         let inner = &self.inner;
         inner.jobs.fetch_add(1, Ordering::Relaxed);
@@ -1026,7 +1025,6 @@ impl Verifier {
         });
         if built {
             tally.cache_misses += 1;
-            rap_obs::event("segment_build", pc as u64, segment.steps);
         } else {
             tally.cache_hits += 1;
         }
@@ -1548,7 +1546,6 @@ impl ReplaySession<'_> {
         state.pc = m.end_pc;
         self.tally.cached_steps += m.steps;
         self.tally.dict_bulk_applies += 1;
-        rap_obs::event("dict_bulk_apply", span.id as u64, m.steps);
     }
 
     /// Converts the just-finished live replay of a span into a

@@ -7,12 +7,10 @@
 //! * a [metrics registry](registry) — named atomic [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s, captured into diffable
 //!   [`Snapshot`]s and rendered as Prometheus-style text or JSON;
-//! * a [span/event API](trace) — per-thread ring-buffer sinks feeding a
-//!   global collector; a *disabled* collector costs one relaxed atomic
-//!   load plus a branch per site (measured in `benches/obs.rs`);
 //! * a [round tracker](rounds) — per-round trace ids plus a bounded
-//!   ring of slow-round [`RoundExemplar`]s with full stage-span trees,
-//!   the substrate behind rap-serve's admin telemetry endpoint;
+//!   ring of [`RoundExemplar`]s with their [`StageSpan`]s, the one span
+//!   type: rap-serve's admin plane keeps slow rounds in it, and
+//!   `rap verify --trace` writes one exemplar per verified job;
 //! * a tiny [JSON](json) writer/parser used by the snapshots, the bench
 //!   harness (`BENCH_*.json`) and the `figures` binary.
 //!
@@ -32,7 +30,6 @@
 pub mod json;
 pub mod registry;
 pub mod rounds;
-pub mod trace;
 
 pub use json::{Json, JsonError};
 pub use registry::{
@@ -40,11 +37,6 @@ pub use registry::{
     Snapshot, LATENCY_NS_BOUNDS, ROUND_LATENCY_NS_BOUNDS,
 };
 pub use rounds::{RoundCollector, RoundExemplar, StageSpan};
-pub use trace::{
-    disable as disable_tracing, drain as drain_events, dropped as dropped_events,
-    enable as enable_tracing, enabled as tracing_enabled, event, flush_thread, span, SpanGuard,
-    TraceEvent,
-};
 
 /// Returns the global counter named by the (constant) string literal,
 /// resolving and caching the handle on first use at this call site.

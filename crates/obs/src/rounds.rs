@@ -7,7 +7,9 @@
 //! retains the full [`StageSpan`] tree of *slow* rounds — rounds whose
 //! end-to-end latency exceeds a threshold — in a bounded ring of
 //! [`RoundExemplar`]s, together with the device id and the queue depth
-//! observed when the connection was enqueued.
+//! observed when the connection was enqueued. `rap verify --trace`
+//! writes the same document with the threshold at 0: one exemplar per
+//! verified job, each with a single `verify` span.
 //!
 //! Cost discipline: a server without a telemetry plane builds no
 //! collector at all. Fast rounds on a collector cost two relaxed RMWs
@@ -31,7 +33,8 @@ pub struct StageSpan {
     /// The round's trace id — every span in one round's tree carries
     /// the same value.
     pub trace_id: u64,
-    /// Stage name (`"accept"`, `"opener"`, `"replay"`, `"flush"`).
+    /// Stage name (`"accept"`, `"opener"`, `"replay"`, `"flush"` in
+    /// the server; `"verify"` in a CLI trace).
     pub stage: &'static str,
     /// Stage start, ns since the epoch.
     pub start_ns: u64,

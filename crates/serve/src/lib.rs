@@ -12,10 +12,10 @@
 //!   [`rap_track::Verifier`] (one segment table for the whole fleet).
 //!   Rounds are pipelined up to a granted window and
 //!   verdict/observability writes are batched per drain tick. Overload
-//!   is shed with `ERROR busy`; shutdown drains in-flight rounds and
-//!   flushes `rap-obs`. A closing connection parks its session under a
-//!   single-use resumption token so the device can continue its nonce
-//!   chain on the next connection.
+//!   is shed with `ERROR busy`; shutdown drains in-flight rounds. A
+//!   closing connection parks its session under a single-use
+//!   resumption token so the device can continue its nonce chain on
+//!   the next connection.
 //! * [`AttestClient`] — connect/read deadlines and bounded
 //!   exponential-backoff retry with deterministic SplitMix64 jitter;
 //!   [`Connection::pipelined`] keeps a window of rounds in flight and

@@ -25,9 +25,8 @@
 //! Overload is shed, not queued: when the connection queue is full,
 //! the connection is answered with `ERROR busy` and closed instead of
 //! growing an unbounded backlog. Shutdown drains: the listener stops
-//! accepting, queued and in-flight rounds finish (bounded by the
-//! per-connection read deadline), and every worker flushes its
-//! `rap-obs` trace ring before joining.
+//! accepting, and queued and in-flight rounds finish (bounded by the
+//! per-connection read deadline) before the workers join.
 //!
 //! With [`ServerConfig::admin_addr`] set, the server additionally
 //! runs a *telemetry plane*: every round gets a trace id minted at
@@ -604,9 +603,6 @@ impl Server {
                         serve_connection(&shared, &verifier, conn);
                         rap_obs::gauge!("serve_active_connections").dec();
                     }
-                    // Scoped-thread rule from the fleet layer applies
-                    // here too: flush the trace ring before join.
-                    rap_obs::flush_thread();
                 })
             })
             .collect();
@@ -617,18 +613,12 @@ impl Server {
             std::thread::spawn(move || {
                 accept_loop(listener, &queue, &shared);
                 queue.close();
-                // The accept loop records counters through per-thread
-                // rings too — flush them like every other stage thread.
-                rap_obs::flush_thread();
             })
         };
 
         let admin_handle = admin_listener.map(|listener| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                admin_loop(listener, &shared);
-                rap_obs::flush_thread();
-            })
+            std::thread::spawn(move || admin_loop(listener, &shared))
         });
 
         Ok(Server {
@@ -1370,10 +1360,11 @@ fn finalize_rounds(obs: &ConnObs<'_>, flush_start: Instant, rounds: &[PendingRou
 /// malformed or hostile scraper cannot make the admin thread allocate.
 const ADMIN_MAX_FRAME_LEN: u32 = 4096;
 
-/// Idle deadline per admin read: the single admin thread serves
-/// scrapers sequentially, so a scraper that connects and goes silent
-/// is dropped after one second to let the next one in (`rap top`
-/// reconnects on every poll anyway).
+/// How long one admin request may take to arrive in full, counting
+/// the idle time before its first byte: the single admin thread serves
+/// scrapers sequentially, so a scraper that goes silent or trickles its
+/// request is dropped after one second to let the next one in (`rap
+/// top` reconnects on every poll anyway).
 const ADMIN_READ_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The admin accept loop: blocks in `accept` like the main accept
@@ -1393,10 +1384,9 @@ fn admin_loop(listener: TcpListener, shared: &Shared) {
 }
 
 /// Answers `STATS`/`EXEMPLARS` requests on one admin connection until
-/// the peer closes, goes idle past [`ADMIN_READ_TIMEOUT`], or sends
-/// anything else (answered with a `Protocol` error).
+/// the peer closes, takes longer than [`ADMIN_READ_TIMEOUT`] over a
+/// request, or sends anything else (answered with a `Protocol` error).
 fn serve_admin_conn(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(ADMIN_READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
     let mut inbuf = FrameBuf::new(RECV_CHUNK);
@@ -1404,10 +1394,14 @@ fn serve_admin_conn(shared: &Shared, mut stream: TcpStream) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let (frame_type, payload) = match inbuf.read_frame(&mut stream, ADMIN_MAX_FRAME_LEN) {
+        let mut reader = Deadline {
+            stream: &mut stream,
+            at: Instant::now() + ADMIN_READ_TIMEOUT,
+        };
+        let (frame_type, payload) = match inbuf.read_frame(&mut reader, ADMIN_MAX_FRAME_LEN) {
             Ok(Some(frame)) => frame,
-            // Clean close, idle timeout, or garbage: drop the scraper
-            // and serve the next one.
+            // Clean close, deadline passed, or garbage: drop the
+            // scraper and serve the next one.
             Ok(None) | Err(_) => return,
         };
         let reply = match frame_type {

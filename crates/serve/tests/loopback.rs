@@ -1386,6 +1386,54 @@ fn wait_for(mut pred: impl FnMut() -> bool) {
 }
 
 #[test]
+fn trickling_admin_request_is_dropped_at_the_admin_deadline() {
+    let (linked, _w) = deployed();
+    let server = Server::start(
+        test_verifier(&linked),
+        "127.0.0.1:0",
+        admin_config(Duration::from_millis(5)),
+    )
+    .expect("binds");
+    let admin = server.admin_addr().expect("admin listener bound");
+    // A raw scraper that sends a STATS request one byte per 900 ms for
+    // 6 s: every read of the request makes progress, so only a
+    // deadline over the whole request frees the single admin thread.
+    let request = encode_frame(FrameType::Stats, &encode_stats_request(StatsFormat::Json));
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut peer = std::net::TcpStream::connect(admin).expect("connects");
+    let trickler = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            for byte in request.chunks(1) {
+                if stop.load(Ordering::SeqCst)
+                    || started.elapsed() >= Duration::from_secs(6)
+                    || peer.write_all(byte).is_err()
+                {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(900));
+            }
+        })
+    };
+    // Let the admin thread pick up the trickler first.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let started = Instant::now();
+    let reply = AdminClient::new(admin.to_string())
+        .connect()
+        .and_then(|mut conn| conn.stats(StatsFormat::Json));
+    let waited = started.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    trickler.join().expect("trickler exits");
+    assert!(
+        reply.is_ok() && waited < Duration::from_secs(2),
+        "a trickling scraper held the admin thread: the next scrape got {reply:?} after {waited:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn every_stage_span_carries_the_round_trace_id() {
     const ROUNDS: usize = 4;
     let (linked, w) = deployed();

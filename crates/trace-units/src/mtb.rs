@@ -217,7 +217,6 @@ impl Mtb {
             if self.since_drain >= mark && !self.watermark_hit {
                 self.watermark_hit = true;
                 rap_obs::counter!("trace_mtb_watermark_hits_total").inc();
-                rap_obs::event("mtb_watermark", source as u64, self.since_drain as u64);
             }
         }
         true

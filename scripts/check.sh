@@ -66,7 +66,6 @@ BENCH_DIR="$PWD/target/bench"
 mkdir -p "$BENCH_DIR"
 run cargo bench -p rap-bench --bench fleet -- --quick --json "$BENCH_DIR/BENCH_fleet.json"
 run cargo bench -p rap-bench --bench figures -- --quick --json "$BENCH_DIR/BENCH_figures.json"
-run cargo bench -p rap-bench --bench obs -- --quick
 # Scaling gate: --enforce fails the run if the 4-thread fleet speedup
 # drops below 1.5x (the bench itself skips the gate, with a note, on
 # hosts with fewer than 4 cores — the pool cannot scale there).
@@ -240,7 +239,14 @@ if [ "$DICT_BYTES" -ge "$PLAIN_BYTES" ]; then
 fi
 echo "dict smoke: report stream $PLAIN_BYTES -> $DICT_BYTES bytes"
 run "$RAP" verify "$SMOKE_DIR/loopy.img" "$SMOKE_DIR/loopy.map" "$SMOKE_DIR/dict.rpt" \
-    --chal 7 --dict "$PWD/PROFILE_loopy.dict"
+    --chal 7 --dict "$PWD/PROFILE_loopy.dict" --trace "$SMOKE_DIR/trace.json"
+# The trace is the admin plane's EXEMPLARS document: one exemplar for
+# the one verified job.
+grep -q '"retained": 1' "$SMOKE_DIR/trace.json" || {
+    echo "dict smoke: --trace did not retain the verified job" >&2
+    cat "$SMOKE_DIR/trace.json" >&2
+    exit 1
+}
 
 # Fleet smoke: a deterministic 4-device loopback fleet with one
 # compromised actor — the run must quarantine it (exit 0 asserts

@@ -1,17 +1,18 @@
 //! Observability-layer integration: the global rap-obs registry must
 //! agree exactly with the verifier's own [`VerifierStats`] whether jobs
 //! run sequentially or through the worker pool, histograms must be
-//! internally consistent, and the trace collector must record only when
-//! enabled.
+//! internally consistent, and the `--trace` document must hold one
+//! `verify` span per job.
 //!
-//! The registry and trace collector are process-global, so every test
-//! in this binary serializes on [`OBS_LOCK`] and works with snapshot
-//! *diffs* (movement across its own run), never absolute values.
+//! The registry is process-global, so every test in this binary
+//! serializes on [`OBS_LOCK`] and works with snapshot *diffs* (movement
+//! across its own run), never absolute values.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use rap_link::{link, LinkOptions};
-use rap_obs::Snapshot;
+use rap_obs::{Json, Snapshot};
 use rap_track::{
     device_key, CfaEngine, Challenge, EngineConfig, FleetJob, Report, Verifier, VerifierStats,
 };
@@ -233,7 +234,7 @@ fn metrics_json_matches_verifier_stats() {
         .collect();
 
     let baseline = rap_obs::global().snapshot();
-    let (ok, _, stats) =
+    let (ok, _, stats, _) =
         rap_cli::cmd_verify_fleet(&img, &map_text, &streams, 0, 7, "obs-test", 4, None).unwrap();
     assert!(ok);
     let json = rap_cli::metrics_json(&baseline, &stats);
@@ -271,35 +272,97 @@ fn metrics_json_matches_verifier_stats() {
     assert!(rendered.contains("verifier:"), "{rendered}");
 }
 
-/// The trace collector records spans and segment builds during fleet
-/// verification when enabled, and nothing at all when disabled.
+/// The `--trace` document of `rap verify-fleet` is the admin plane's
+/// `EXEMPLARS` shape: one exemplar per job, named and judged as its
+/// verdict line, each with one `verify` span as long as the job that
+/// ends within the run.
 #[test]
-fn trace_collector_records_only_when_enabled() {
+fn verify_fleet_trace_has_one_verify_span_per_job() {
     let _guard = lock();
-    let attested = attest_workload(&workloads::temperature::workload(), 3);
-    let jobs = fleet_jobs(&attested, 4);
+    let (img, map_text, _) =
+        rap_cli::cmd_link(rap_cli::DEMO_PROGRAM, rap_cli::LinkCmdOptions::default()).unwrap();
+    let (good, _) = rap_cli::cmd_attest(&img, &map_text, 0, 7, "obs-test", None, None).unwrap();
+    // Signed without the device key: a forgery the verifier rejects.
+    let (forged, _) = rap_cli::cmd_attest(&img, &map_text, 0, 7, "forger", None, None).unwrap();
+    let streams: Vec<(String, Vec<u8>)> = [&good, &forged, &good, &good]
+        .iter()
+        .enumerate()
+        .map(|(i, stream)| (format!("dev-{i}.rpt"), stream.to_vec()))
+        .collect();
 
-    rap_obs::disable_tracing();
-    let _ = rap_obs::drain_events();
-    let verifier = fresh_verifier(&attested);
-    let outcomes = verifier.fleet(4).run(jobs.clone());
-    assert!(outcomes.iter().all(|o| o.accepted()));
-    assert!(
-        rap_obs::drain_events().is_empty(),
-        "disabled collector must record nothing"
-    );
+    let started = Instant::now();
+    let (ok, verdict, _, trace) =
+        rap_cli::cmd_verify_fleet(&img, &map_text, &streams, 0, 7, "obs-test", 4, None).unwrap();
+    let run_ns = started.elapsed().as_nanos() as u64;
+    assert!(!ok, "{verdict}");
+    // `OK       dev-0.rpt: …` or `REJECTED dev-1.rpt: …`, in job order.
+    let verdicts: Vec<(&str, bool)> = verdict
+        .lines()
+        .filter_map(|line| {
+            let (accepted, rest) = match line.strip_prefix("OK ") {
+                Some(rest) => (true, rest),
+                None => (false, line.strip_prefix("REJECTED ")?),
+            };
+            Some((rest.trim_start().split(':').next()?, accepted))
+        })
+        .collect();
+    assert_eq!(verdicts.iter().filter(|(_, accepted)| !accepted).count(), 1);
 
-    rap_obs::enable_tracing(0);
-    let verifier = fresh_verifier(&attested);
-    let outcomes = verifier.fleet(4).run(jobs);
-    assert!(outcomes.iter().all(|o| o.accepted()));
-    rap_obs::disable_tracing();
-    let events = rap_obs::drain_events();
-    let spans = events.iter().filter(|e| e.kind == "verify_job").count();
-    assert_eq!(spans, 4, "one span per job: {events:?}");
-    assert!(
-        events.iter().any(|e| e.kind == "segment_build"),
-        "cold cache must emit segment_build events"
+    let doc = rap_obs::json::parse(&trace.to_json().to_pretty()).expect("trace parses");
+    assert_eq!(doc.get("retained").and_then(Json::as_u64), Some(4));
+    let exemplars = doc.get("exemplars").and_then(Json::as_array).unwrap();
+    assert_eq!(exemplars.len(), verdicts.len(), "{verdict}");
+    for (exemplar, (device, accepted)) in exemplars.iter().zip(&verdicts) {
+        assert_eq!(exemplar.get("device").and_then(Json::as_str), Some(*device));
+        assert_eq!(exemplar.get("accepted"), Some(&Json::Bool(*accepted)));
+        let spans = exemplar.get("spans").and_then(Json::as_array).unwrap();
+        assert_eq!(spans.len(), 1, "one span per job: {spans:?}");
+        let span = &spans[0];
+        assert_eq!(span.get("stage").and_then(Json::as_str), Some("verify"));
+        let dur_ns = span.get("dur_ns").and_then(Json::as_u64).unwrap();
+        assert_eq!(
+            exemplar.get("total_ns").and_then(Json::as_u64),
+            Some(dur_ns)
+        );
+        let start_ns = span.get("start_ns").and_then(Json::as_u64).unwrap();
+        assert!(
+            start_ns + dur_ns <= run_ns,
+            "{device}: span ends at {} ns, after the {run_ns} ns run",
+            start_ns + dur_ns
+        );
+    }
+}
+
+/// `rap verify` traces its one job from the start of the run, timed by
+/// the verifier's own wall-clock counter.
+#[test]
+fn verify_trace_times_its_one_job_by_wall_ns() {
+    let _guard = lock();
+    let (img, map_text, _) =
+        rap_cli::cmd_link(rap_cli::DEMO_PROGRAM, rap_cli::LinkCmdOptions::default()).unwrap();
+    let (stream, _) = rap_cli::cmd_attest(&img, &map_text, 0, 7, "obs-test", None, None).unwrap();
+    let (ok, verdict, stats, trace) =
+        rap_cli::cmd_verify(&img, &map_text, &stream, 0, 7, "obs-test", None).unwrap();
+    assert!(ok, "{verdict}");
+
+    let doc = rap_obs::json::parse(&trace.to_json().to_pretty()).expect("trace parses");
+    assert_eq!(doc.get("retained").and_then(Json::as_u64), Some(1));
+    let exemplar = &doc.get("exemplars").and_then(Json::as_array).unwrap()[0];
+    assert_eq!(
+        exemplar.get("device").and_then(Json::as_str),
+        Some("obs-test")
     );
-    assert_eq!(rap_obs::dropped_events(), 0);
+    assert_eq!(exemplar.get("accepted"), Some(&Json::Bool(true)));
+    assert_eq!(
+        exemplar.get("total_ns").and_then(Json::as_u64),
+        Some(stats.wall_ns)
+    );
+    let spans = exemplar.get("spans").and_then(Json::as_array).unwrap();
+    assert_eq!(spans.len(), 1);
+    assert_eq!(spans[0].get("stage").and_then(Json::as_str), Some("verify"));
+    assert_eq!(spans[0].get("start_ns").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        spans[0].get("dur_ns").and_then(Json::as_u64),
+        Some(stats.wall_ns)
+    );
 }
